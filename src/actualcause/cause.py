@@ -109,9 +109,6 @@ class Witness:
     w_prime: tuple[Value, ...]
     z_star: tuple[tuple[str, Value], ...]
 
-    def w_dict(self) -> dict[str, Value]:
-        return dict(zip(self.w_set, self.w_prime))
-
     def z_vars(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.z_star)
 
@@ -368,19 +365,20 @@ class _Engine:
                             *(self.domain(w) for w in w_set)):
                         stats.settings_examined += 1
                         key = self._fill(slots, x_prime, w_prime)
-                        holds, allowed = self.probe_key(key)
-                        if not allowed:
-                            continue
-                        defeated = (not holds if defeat is None else
-                                    eval_event(self._solution(key), defeat))
-                        if not defeated:
-                            continue
-                        if self._b_holds(xvars, xvals, w_set, w_prime,
-                                         z_free, legacy):
+                        if self._defeats(key, defeat) and self._b_holds(
+                                xvars, xvals, w_set, w_prime, z_free, legacy):
                             yield Witness(w_set, x_prime, w_prime, z_star)
 
-    def _solution(self, key: tuple[tuple[str, Value], ...]):
-        return solve(self.model, self.context, dict(key))
+    def _defeats(self, key: tuple[tuple[str, Value], ...],
+                 defeat: Formula | None) -> bool | None:
+        """Clause (a) for one scenario: whether it defeats the effect, or
+        reaches ``defeat`` when one is given; None if it is not allowable."""
+        holds, allowed = self.probe_key(key)
+        if not allowed:
+            return None
+        if defeat is None:
+            return not holds
+        return eval_event(solve(self.model, self.context, dict(key)), defeat)
 
     def _all_deviations_defeat(self, slots, deviations, w_prime,
                                defeat) -> tuple[Value, ...] | None:
@@ -390,15 +388,10 @@ class _Engine:
         """
         first: tuple[Value, ...] | None = None
         for x_dev in itertools.product(*deviations):
-            key = self._fill(slots, x_dev, w_prime)
-            holds, allowed = self.probe_key(key)
-            if not allowed:
-                continue
-            defeated = (not holds if defeat is None else
-                        eval_event(self._solution(key), defeat))
-            if not defeated:
+            defeated = self._defeats(self._fill(slots, x_dev, w_prime), defeat)
+            if defeated is False:
                 return None
-            if first is None:
+            if defeated and first is None:
                 first = x_dev
         return first
 
@@ -427,10 +420,11 @@ def is_weak_cause(query: CauseQuery) -> CauseVerdict:
     return _weak_verdict(engine, query.cause, variant, query.exclude_self)
 
 
-def _weak_verdict(engine, cause, variant, exclude_self=False) -> CauseVerdict:
+def _weak_verdict(engine, cause, variant, exclude_self=False,
+                  defeat=None) -> CauseVerdict:
     stats = SearchStats()
     ac1 = engine.ac1(cause)
-    witness = engine.first_witness(cause, variant, stats)
+    witness = engine.first_witness(cause, variant, stats, defeat=defeat)
     ac2 = witness is not None
     ac2c = ac2 if variant is DefinitionVariant.STRONG else None
     self_entailed = exclude_self and _self_entailed(engine, cause)
@@ -441,7 +435,8 @@ def _weak_verdict(engine, cause, variant, exclude_self=False) -> CauseVerdict:
                         variant=variant, stats=stats)
 
 
-def _minimality(engine, cause, variant, stats) -> tuple[bool, tuple[Prim, ...] | None]:
+def _minimality(engine, cause, variant, stats,
+                defeat=None) -> tuple[bool, tuple[Prim, ...] | None]:
     """AC3: no strict nonempty sub-conjunction passes AC1 + AC2.
 
     AC1 for a sub-conjunction follows from the full cause's AC1, so only the
@@ -451,7 +446,8 @@ def _minimality(engine, cause, variant, stats) -> tuple[bool, tuple[Prim, ...] |
     events = cause.events
     for k in range(1, len(events)):
         for sub in itertools.combinations(events, k):
-            witness = engine.first_witness(CandidateCause(sub), variant, stats)
+            witness = engine.first_witness(CandidateCause(sub), variant, stats,
+                                           defeat=defeat)
             if witness is not None:
                 return False, sub
     return True, None
@@ -463,11 +459,14 @@ def is_actual_cause(query: CauseQuery) -> CauseVerdict:
     return _actual_verdict(engine, query.cause, variant, query.exclude_self)
 
 
-def _actual_verdict(engine, cause, variant, exclude_self=False) -> CauseVerdict:
-    weak = _weak_verdict(engine, cause, variant, exclude_self)
+def _actual_verdict(engine, cause, variant, exclude_self=False,
+                    defeat=None) -> CauseVerdict:
+    """AC1 + AC2 + AC3; ``defeat`` replaces the effect's negation as the goal
+    of clause (a) throughout, as in the consequent contrast."""
+    weak = _weak_verdict(engine, cause, variant, exclude_self, defeat)
     if not (weak.ac1 and weak.ac2):
         return weak
-    ac3, violator = _minimality(engine, cause, variant, weak.stats)
+    ac3, violator = _minimality(engine, cause, variant, weak.stats, defeat)
     return replace(weak, ac3=ac3, ac3_violator=violator,
                    overall=weak.overall and ac3)
 
@@ -579,28 +578,8 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
         if satisfiable_together(ranges, query.effect, effect_alternative):
             raise NotContrastive(
                 "the contrasted outcomes are jointly satisfiable")
-        stats = SearchStats()
-        ac1 = engine.ac1(cause)
-        witness = engine.first_witness(cause, variant, stats,
-                                       defeat=effect_alternative)
-        ac2 = witness is not None
-        ac3 = None
-        violator = None
-        if ac1 and ac2:
-            ac3 = True
-            for k in range(1, len(cause.events)):
-                for sub in itertools.combinations(cause.events, k):
-                    if engine.first_witness(CandidateCause(sub), variant, stats,
-                                            defeat=effect_alternative):
-                        ac3, violator = False, sub
-                        break
-                if not ac3:
-                    break
-        overall = ac1 and ac2 and (ac3 is not False)
-        return CauseVerdict(ac1=ac1, ac2=ac2, witness=witness, ac3=ac3,
-                            ac3_violator=violator, ac2c=None,
-                            self_entailed=False, overall=overall,
-                            variant=variant, stats=stats)
+        return _actual_verdict(engine, cause, variant,
+                               defeat=effect_alternative)
 
     if mode not in ("antecedent_strong", "antecedent_weak"):
         raise NotContrastive(f"unknown contrast mode {mode!r}")

@@ -13,7 +13,7 @@ import sys
 import time
 from typing import Sequence
 
-from .cause import DefinitionVariant
+from .cause import DEFAULT_MAX_VARS, DefinitionVariant
 from .dsl import (
     LoadedModel,
     QueryDocument,
@@ -25,13 +25,6 @@ from .dsl import (
 from .errors import CausalityError, SearchSpaceTooLarge
 from .formula import eval_trace
 from .queries import QueryOutcome, run_query
-
-_VARIANTS = {
-    "updated": DefinitionVariant.UPDATED,
-    "legacy": DefinitionVariant.LEGACY,
-    "strong": DefinitionVariant.STRONG,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,12 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if formula:
             p.add_argument("--formula", required=True,
                            help="counterfactual formula such as '[L<-0](F=0)'")
-        p.add_argument("--definition", choices=sorted(_VARIANTS),
+        p.add_argument("--definition",
+                       choices=sorted(v.value for v in DefinitionVariant),
                        default="updated", help="cause definition variant")
         p.add_argument("--extended", action="store_true",
                        help="activate the model's allow clauses")
         p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--max-vars", type=int, default=16,
+        p.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS,
                        help="refuse models with more endogenous variables")
 
     p = sub.add_parser("check", help="decide one cause/effect query")
@@ -148,7 +142,7 @@ def _document(args: argparse.Namespace, loaded: LoadedModel) -> QueryDocument:
                          contrast_mode=contrast_mode,
                          effect_alternative=effect_alternative,
                          value_alternative=value_alternative,
-                         variant=_VARIANTS[args.definition],
+                         variant=DefinitionVariant(args.definition),
                          extended=args.extended,
                          exclude_self=getattr(args, "exclude_self", False),
                          max_conjuncts=getattr(args, "max_conjuncts", 1))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import formula as fm
 from .cause import CandidateCause, DefinitionVariant
@@ -48,6 +48,7 @@ from .errors import (
     CausalityError,
     DslSyntaxError,
     DslTypeError,
+    OutOfRangeOutput,
     UnknownIdentifier,
 )
 from .model import (
@@ -56,7 +57,6 @@ from .model import (
     ExtendedCausalModel,
     Mechanism,
     Signature,
-    TOTALITY_CHECK_BOUND,
     Value,
     build_model,
 )
@@ -335,18 +335,7 @@ class _Parser:
         return CaseE(tuple(arms), default)
 
     def expr_or(self) -> Expr:
-        parts = [self.expr_and()]
-        while self.here.kind == "|":
-            self.advance()
-            parts.append(self.expr_and())
-        return parts[0] if len(parts) == 1 else OrE(tuple(parts))
-
-    def expr_and(self) -> Expr:
-        parts = [self.expr_not()]
-        while self.here.kind == "&":
-            self.advance()
-            parts.append(self.expr_not())
-        return parts[0] if len(parts) == 1 else AndE(tuple(parts))
+        return self.nary("|", lambda: self.nary("&", self.expr_not, AndE), OrE)
 
     def expr_not(self) -> Expr:
         if self.here.kind == "!":
@@ -401,47 +390,44 @@ class _Parser:
             return Name(tok.text)
         self.fail("a value, variable, or '('")
 
-    # -- event formulas --------------------------------------------------
+    # -- event and counterfactual formulas --------------------------------
 
-    def event_formula(self) -> fm.Formula:
-        node = self.f_implies()
+    def formula(self, causal: bool = False) -> fm.Formula:
+        """An event formula, or with ``causal`` a counterfactual formula,
+        whose unary rule also takes ``[X<-v, ...](phi)`` and ``<...>(phi)``."""
+        node = self.f_implies(causal)
         while self.here.kind == "<=>":
             self.advance()
-            rhs = self.f_implies()
+            rhs = self.f_implies(causal)
             node = fm.And((fm.Or((fm.Not(node), rhs)),
                            fm.Or((fm.Not(rhs), node))))
         return node
 
-    def f_implies(self) -> fm.Formula:
-        node = self.f_or()
+    def f_implies(self, causal: bool) -> fm.Formula:
+        def f_and():
+            return self.nary("&", lambda: self.f_unary(causal), fm.And)
+        node = self.nary("|", f_and, fm.Or)
         if self.here.kind == "=>":
             self.advance()
-            return fm.Or((fm.Not(node), self.f_implies()))
+            return fm.Or((fm.Not(node), self.f_implies(causal)))
         return node
 
-    def f_or(self) -> fm.Formula:
-        parts = [self.f_and()]
-        while self.here.kind == "|":
-            self.advance()
-            parts.append(self.f_and())
-        return parts[0] if len(parts) == 1 else fm.Or(tuple(parts))
-
-    def f_and(self) -> fm.Formula:
-        parts = [self.f_unary()]
-        while self.here.kind == "&":
-            self.advance()
-            parts.append(self.f_unary())
-        return parts[0] if len(parts) == 1 else fm.And(tuple(parts))
-
-    def f_unary(self) -> fm.Formula:
+    def f_unary(self, causal: bool) -> fm.Formula:
         if self.here.kind == "!":
             self.advance()
-            return fm.Not(self.f_unary())
+            return fm.Not(self.f_unary(causal))
         if self.here.kind == "(":
             self.advance()
-            node = self.event_formula()
+            node = self.formula(causal)
             self.expect(")", "')'")
             return node
+        if causal and self.here.kind in ("[", "<"):
+            diamond = self.advance().kind == "<"
+            iv = self.interventions(">" if diamond else "]")
+            self.expect("(", "'(' before the formula body")
+            body = self.formula()
+            self.expect(")", "')'")
+            return fm.Basic(iv, body, diamond=diamond)
         return self.f_prim()
 
     def f_prim(self) -> fm.Formula:
@@ -454,55 +440,13 @@ class _Parser:
             return fm.Not(fm.Prim(tok.text, self.value()))
         self.fail("'=' or '!=' after variable")
 
-    # -- counterfactual formulas -----------------------------------------
-
-    def causal_formula(self) -> fm.Formula:
-        node = self.c_or()
-        while self.here.kind == "<=>":
+    def nary(self, op: str, operand, node):
+        """``operand (op operand)*``, wrapped in ``node`` when repeated."""
+        parts = [operand()]
+        while self.here.kind == op:
             self.advance()
-            rhs = self.c_or()
-            node = fm.And((fm.Or((fm.Not(node), rhs)),
-                           fm.Or((fm.Not(rhs), node))))
-        return node
-
-    def c_or(self) -> fm.Formula:
-        parts = [self.c_and()]
-        while self.here.kind == "|":
-            self.advance()
-            parts.append(self.c_and())
-        return parts[0] if len(parts) == 1 else fm.Or(tuple(parts))
-
-    def c_and(self) -> fm.Formula:
-        parts = [self.c_unary()]
-        while self.here.kind == "&":
-            self.advance()
-            parts.append(self.c_unary())
-        return parts[0] if len(parts) == 1 else fm.And(tuple(parts))
-
-    def c_unary(self) -> fm.Formula:
-        if self.here.kind == "!":
-            self.advance()
-            return fm.Not(self.c_unary())
-        if self.here.kind == "[":
-            self.advance()
-            iv = self.interventions("]")
-            self.expect("(", "'(' before the formula body")
-            body = self.event_formula()
-            self.expect(")", "')'")
-            return fm.Basic(iv, body, diamond=False)
-        if self.here.kind == "<":
-            self.advance()
-            iv = self.interventions(">")
-            self.expect("(", "'(' before the formula body")
-            body = self.event_formula()
-            self.expect(")", "')'")
-            return fm.Basic(iv, body, diamond=True)
-        if self.here.kind == "(":
-            self.advance()
-            node = self.causal_formula()
-            self.expect(")", "')'")
-            return node
-        return self.f_prim()
+            parts.append(operand())
+        return parts[0] if len(parts) == 1 else node(tuple(parts))
 
     def interventions(self, closer: str) -> tuple[tuple[str, Value], ...]:
         items: list[tuple[str, Value]] = []
@@ -518,6 +462,19 @@ class _Parser:
                 continue
             break
         self.expect(closer, repr(closer))
+        return tuple(items)
+
+    def assignments(self) -> tuple[tuple[str, Value], ...]:
+        """``{ X = v, ... }``; the commas are optional."""
+        self.expect("{", "'{'")
+        items: list[tuple[str, Value]] = []
+        while self.here.kind != "}":
+            var = self.ident("a variable name").text
+            self.expect("=", "'='")
+            items.append((var, self.value()))
+            if self.here.kind == ",":
+                self.advance()
+        self.expect("}", "'}'")
         return tuple(items)
 
     # -- cause conjunctions (X=x & Y=y ...) --------------------------------
@@ -572,21 +529,12 @@ def parse_model(text: str) -> ModelDocument:
                                     target.line, target.column))
         elif parser.at_keyword("allow"):
             parser.advance()
-            allows.append(AllowStmt(parser.event_formula(),
+            allows.append(AllowStmt(parser.formula(),
                                     tok.line, tok.column))
         elif parser.at_keyword("context"):
             parser.advance()
             ctx_name = parser.ident("a context name").text
-            parser.expect("{", "'{'")
-            items: list[tuple[str, Value]] = []
-            while parser.here.kind != "}":
-                var = parser.ident("a variable name").text
-                parser.expect("=", "'='")
-                items.append((var, parser.value()))
-                if parser.here.kind == ",":
-                    parser.advance()
-            parser.expect("}", "'}'")
-            contexts.append(ContextDecl(ctx_name, tuple(items),
+            contexts.append(ContextDecl(ctx_name, parser.assignments(),
                                         tok.line, tok.column))
         else:
             parser.fail("'exo', 'var', 'eq', 'allow', or 'context'")
@@ -622,6 +570,28 @@ class LoadedModel:
                                     f"context {name!r}", 0, 0) from None
 
 
+def _nodes(expr: Expr) -> Iterator[Expr]:
+    """Every node of an expression, children left to right before parents."""
+    if isinstance(expr, (Cmp, Arith)):
+        children: tuple[Expr, ...] = (expr.left, expr.right)
+    elif isinstance(expr, NotE):
+        children = (expr.body,)
+    elif isinstance(expr, (AndE, OrE)):
+        children = expr.parts
+    elif isinstance(expr, Call):
+        children = expr.args
+    elif isinstance(expr, IfE):
+        children = (expr.cond, expr.then, expr.other)
+    elif isinstance(expr, CaseE):
+        children = tuple(itertools.chain(*expr.arms))
+        children += () if expr.default is None else (expr.default,)
+    else:
+        children = ()
+    for child in children:
+        yield from _nodes(child)
+    yield expr
+
+
 class _ExprProgram:
     """Compiled equation: resolved names, dependency list, evaluator."""
 
@@ -635,43 +605,22 @@ class _ExprProgram:
         self._resolve(stmt.expr, declared, symbols)
 
     def _resolve(self, expr: Expr, declared: set[str], symbols: set[str]) -> None:
-        if isinstance(expr, Name):
-            if expr.ident in declared:
-                if expr.ident not in self.deps and expr.ident != self.stmt.target:
-                    self.deps.append(expr.ident)
-                elif expr.ident == self.stmt.target:
-                    raise DslTypeError(
-                        f"equation for {self.stmt.target} refers to itself",
-                        self.stmt.line, self.stmt.column)
-            elif expr.ident not in symbols:
-                raise UnknownIdentifier(
-                    f"{expr.ident!r} is neither a variable nor a domain value",
+        for node in _nodes(expr):
+            if isinstance(node, Cmp):
+                self._static_domain_check(node)
+            if not isinstance(node, Name):
+                continue
+            if node.ident == self.stmt.target:
+                raise DslTypeError(
+                    f"equation for {self.stmt.target} refers to itself",
                     self.stmt.line, self.stmt.column)
-        elif isinstance(expr, Cmp):
-            self._resolve(expr.left, declared, symbols)
-            self._resolve(expr.right, declared, symbols)
-            self._static_domain_check(expr)
-        elif isinstance(expr, NotE):
-            self._resolve(expr.body, declared, symbols)
-        elif isinstance(expr, (AndE, OrE)):
-            for part in expr.parts:
-                self._resolve(part, declared, symbols)
-        elif isinstance(expr, Arith):
-            self._resolve(expr.left, declared, symbols)
-            self._resolve(expr.right, declared, symbols)
-        elif isinstance(expr, Call):
-            for arg in expr.args:
-                self._resolve(arg, declared, symbols)
-        elif isinstance(expr, IfE):
-            self._resolve(expr.cond, declared, symbols)
-            self._resolve(expr.then, declared, symbols)
-            self._resolve(expr.other, declared, symbols)
-        elif isinstance(expr, CaseE):
-            for cond, result in expr.arms:
-                self._resolve(cond, declared, symbols)
-                self._resolve(result, declared, symbols)
-            if expr.default is not None:
-                self._resolve(expr.default, declared, symbols)
+            if node.ident in declared:
+                if node.ident not in self.deps:
+                    self.deps.append(node.ident)
+            elif node.ident not in symbols:
+                raise UnknownIdentifier(
+                    f"{node.ident!r} is neither a variable nor a domain value",
+                    self.stmt.line, self.stmt.column)
 
     def _static_domain_check(self, cmp: Cmp) -> None:
         """A literal compared against a variable must lie in its domain."""
@@ -748,8 +697,9 @@ class _ExprProgram:
 def build_document(doc: ModelDocument) -> LoadedModel:
     """Validate a parsed document and construct the runtime model.
 
-    Every expression-form equation is checked for totality and output range
-    by exhaustive enumeration over its dependency cross-product.
+    Every equation is checked for totality and output range by build_model:
+    exhaustively up to its row bound, by spot checks listed in the model's
+    ``unverified_totality`` above it.
     """
     seen: dict[str, VarDecl] = {}
     for decl in doc.decls:
@@ -786,31 +736,14 @@ def build_document(doc: ModelDocument) -> LoadedModel:
 
     mechanisms: list[Mechanism] = []
     for name in endo:
-        stmt = by_target[name]
-        program = _ExprProgram(stmt, signature)
-        deps = program.ordered_deps()
-        size = 1
-        for d in deps:
-            size *= len(signature.domain_of(d))
-        target_domain = signature.domain_of(name)
-        if size <= TOTALITY_CHECK_BOUND:
-            table: dict[tuple[Value, ...], Value] = {}
-            for combo in itertools.product(
-                    *(signature.domain_of(d).values for d in deps)):
-                env = dict(zip(deps, combo))
-                out = program.evaluate(env)
-                if out not in target_domain:
-                    raise DslTypeError(
-                        f"equation for {name} yields {out!r} at {env}, outside "
-                        f"its domain {target_domain.values}",
-                        stmt.line, stmt.column)
-                table[combo] = out
-            mechanisms.append(Mechanism.from_table(name, deps, table))
-        else:
-            mechanisms.append(Mechanism.from_function(name, deps,
-                                                      program.evaluate))
-
-    model = build_model(signature, mechanisms, name=doc.name, verify=False)
+        program = _ExprProgram(by_target[name], signature)
+        mechanisms.append(Mechanism.from_function(name, program.ordered_deps(),
+                                                  program.evaluate))
+    try:
+        model = build_model(signature, mechanisms, name=doc.name)
+    except OutOfRangeOutput as exc:
+        stmt = by_target[exc.target]
+        raise DslTypeError(str(exc), stmt.line, stmt.column) from None
 
     allow: fm.Formula | None = None
     if doc.allows:
@@ -866,7 +799,7 @@ def _checked_event(formula: fm.Formula, model: CausalModel) -> fm.Formula:
 
 def parse_event_formula(text: str, model: CausalModel | None = None) -> fm.Formula:
     parser = _Parser(tokenize(text))
-    node = parser.event_formula()
+    node = parser.formula()
     if parser.here.kind != "eof":
         parser.fail("end of formula")
     return _checked_event(node, model) if model is not None else node
@@ -874,7 +807,7 @@ def parse_event_formula(text: str, model: CausalModel | None = None) -> fm.Formu
 
 def parse_causal_formula(text: str, model: CausalModel | None = None) -> fm.Formula:
     parser = _Parser(tokenize(text))
-    node = parser.causal_formula()
+    node = parser.formula(causal=True)
     if parser.here.kind != "eof":
         parser.fail("end of formula")
     if model is not None:
@@ -897,13 +830,6 @@ def parse_conjunction(text: str, model: CausalModel | None = None) -> CandidateC
 
 # -- queries -------------------------------------------------------------------
 
-_VARIANTS = {
-    "updated": DefinitionVariant.UPDATED,
-    "legacy": DefinitionVariant.LEGACY,
-    "strong": DefinitionVariant.STRONG,
-}
-
-
 def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
     """Parse and type-check one query against a loaded model."""
     parser = _Parser(tokenize(text))
@@ -920,26 +846,26 @@ def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
         parser.keyword("cause")
         cause = parser.conjunction()
         parser.keyword("of")
-        effect = parser.event_formula()
+        effect = parser.formula()
     elif kind == "causes":
         parser.keyword("of")
-        effect = parser.event_formula()
+        effect = parser.formula()
     elif kind in ("witnesses", "process"):
         parser.keyword("for")
         cause = parser.conjunction()
         parser.keyword("of")
-        effect = parser.event_formula()
+        effect = parser.formula()
     elif kind == "eval":
-        formula = parser.causal_formula()
+        formula = parser.formula(causal=True)
     elif kind == "contrast":
         parser.keyword("cause")
         cause = parser.conjunction()
         parser.keyword("of")
-        effect = parser.event_formula()
+        effect = parser.formula()
         if parser.at_keyword("vs"):
             parser.advance()
             contrast_mode = "consequent"
-            effect_alternative = parser.event_formula()
+            effect_alternative = parser.formula()
         elif parser.at_keyword("rather"):
             parser.advance()
             contrast_mode = "antecedent_strong"
@@ -967,24 +893,16 @@ def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
                 raise DslSyntaxError("duplicate context clause",
                                      tok.line, tok.column)
             if parser.here.kind == "{":
-                parser.advance()
-                items: list[tuple[str, Value]] = []
-                while parser.here.kind != "}":
-                    var = parser.ident("a variable name").text
-                    parser.expect("=", "'='")
-                    items.append((var, parser.value()))
-                    if parser.here.kind == ",":
-                        parser.advance()
-                parser.expect("}", "'}'")
-                context_values = tuple(items)
+                context_values = parser.assignments()
             else:
                 context_name = parser.ident("a context name").text
         elif tok.text == "variant":
             word = parser.ident("updated, legacy, or strong")
-            if word.text not in _VARIANTS:
+            try:
+                variant = DefinitionVariant(word.text)
+            except ValueError:
                 raise DslSyntaxError(f"unknown variant {word.text!r}",
-                                     word.line, word.column)
-            variant = _VARIANTS[word.text]
+                                     word.line, word.column) from None
         elif tok.text == "extended":
             extended = True
         elif tok.text == "exclude_self":

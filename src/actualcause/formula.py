@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import NotRecursive, OutOfRangeValue, UnknownVariable
 from .model import Assignment, CausalModel, Value, solve, solve_all
@@ -72,73 +72,73 @@ def neg(body: Formula) -> Formula:
     return Not(body)
 
 
+def _leaves(formula: Formula) -> Iterator[Formula]:
+    """The Prim and Basic nodes under the Boolean connectives, left to right."""
+    if isinstance(formula, Not):
+        yield from _leaves(formula.body)
+    elif isinstance(formula, (And, Or)):
+        for part in formula.parts:
+            yield from _leaves(part)
+    else:
+        yield formula
+
+
+def _truth(formula: Formula, leaf: Callable[[Formula], bool]) -> bool:
+    """Short-circuit value of the connectives, with ``leaf`` deciding every
+    node that ``_leaves`` would yield."""
+    if isinstance(formula, Not):
+        return not _truth(formula.body, leaf)
+    if isinstance(formula, And):
+        return all(_truth(part, leaf) for part in formula.parts)
+    if isinstance(formula, Or):
+        return any(_truth(part, leaf) for part in formula.parts)
+    return leaf(formula)
+
+
 def event_vars(formula: Formula) -> tuple[str, ...]:
     """Variables mentioned anywhere in the formula, first-mention order."""
     seen: dict[str, None] = {}
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Prim):
-            seen.setdefault(f.var, None)
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or)):
-            for part in f.parts:
-                walk(part)
-        elif isinstance(f, Basic):
-            for var, _ in f.intervention:
-                seen.setdefault(var, None)
-            walk(f.body)
-    walk(formula)
+    for leaf in _leaves(formula):
+        if isinstance(leaf, Basic):
+            seen.update(dict.fromkeys(var for var, _ in leaf.intervention))
+            seen.update(dict.fromkeys(event_vars(leaf.body)))
+        else:
+            seen.setdefault(leaf.var, None)
     return tuple(seen)
 
 
 def validate_event_formula(model: CausalModel, formula: Formula) -> None:
     """Reject references to non-endogenous variables or out-of-domain values."""
     endo = set(model.endogenous)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Prim):
-            if f.var not in endo:
-                raise UnknownVariable(
-                    f"formula mentions non-endogenous variable {f.var!r}")
-            if f.value not in model.domain_of(f.var):
-                raise OutOfRangeValue(
-                    f"formula value {f.value!r} outside domain of {f.var}")
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or)):
-            for part in f.parts:
-                walk(part)
-        else:
+    for leaf in _leaves(formula):
+        if not isinstance(leaf, Prim):
             raise UnknownVariable("intervention operators are not allowed here")
-    walk(formula)
+        if leaf.var not in endo:
+            raise UnknownVariable(
+                f"formula mentions non-endogenous variable {leaf.var!r}")
+        if leaf.value not in model.domain_of(leaf.var):
+            raise OutOfRangeValue(
+                f"formula value {leaf.value!r} outside domain of {leaf.var}")
 
 
 def validate_causal_formula(model: CausalModel, formula: Formula) -> None:
     endo = set(model.endogenous)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Basic):
-            names = [var for var, _ in f.intervention]
-            if len(set(names)) != len(names):
+    for leaf in _leaves(formula):
+        if not isinstance(leaf, Basic):
+            validate_event_formula(model, leaf)
+            continue
+        names = [var for var, _ in leaf.intervention]
+        if len(set(names)) != len(names):
+            raise UnknownVariable(
+                f"intervention clamps a variable twice: {names}")
+        for var, value in leaf.intervention:
+            if var not in endo:
                 raise UnknownVariable(
-                    f"intervention clamps a variable twice: {names}")
-            for var, value in f.intervention:
-                if var not in endo:
-                    raise UnknownVariable(
-                        f"cannot intervene on {var!r}: not endogenous")
-                if value not in model.domain_of(var):
-                    raise OutOfRangeValue(
-                        f"intervention value {value!r} outside domain of {var}")
-            validate_event_formula(model, f.body)
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or)):
-            for part in f.parts:
-                walk(part)
-        else:
-            validate_event_formula(model, f)
-    walk(formula)
+                    f"cannot intervene on {var!r}: not endogenous")
+            if value not in model.domain_of(var):
+                raise OutOfRangeValue(
+                    f"intervention value {value!r} outside domain of {var}")
+        validate_event_formula(model, leaf.body)
 
 
 def eval_event(assignment: Mapping[str, Value], formula: Formula) -> bool:
@@ -167,18 +167,12 @@ def eval_formula(model: CausalModel, context: Mapping[str, Value],
     """
     if not model.recursive:
         raise NotRecursive("use eval_nonrecursive for cyclic models")
-    if isinstance(formula, Basic):
-        sol = solve(model, context, dict(formula.intervention))
-        return eval_event(sol, formula.body)
-    if isinstance(formula, Prim):
-        return eval_event(solve(model, context), formula)
-    if isinstance(formula, Not):
-        return not eval_formula(model, context, formula.body)
-    if isinstance(formula, And):
-        return all(eval_formula(model, context, part) for part in formula.parts)
-    if isinstance(formula, Or):
-        return any(eval_formula(model, context, part) for part in formula.parts)
-    raise UnknownVariable(f"cannot evaluate {formula!r}")
+
+    def leaf(f: Formula) -> bool:
+        if isinstance(f, Basic):
+            return eval_event(solve(model, context, dict(f.intervention)), f.body)
+        return eval_event(solve(model, context), f)
+    return _truth(formula, leaf)
 
 
 def eval_nonrecursive(model: CausalModel, context: Mapping[str, Value],
@@ -196,41 +190,24 @@ def eval_nonrecursive(model: CausalModel, context: Mapping[str, Value],
     from .model import check_fixed_point
     if not check_fixed_point(model, context, actual):
         raise ValueError("the designated actual world is not a solution")
-    return _eval_nr(model, context, actual, formula)
 
-
-def _eval_nr(model, context, actual, formula) -> bool:
-    if isinstance(formula, Basic):
-        sols = solve_all(model, context, dict(formula.intervention))
-        if formula.diamond:
-            return any(eval_event(s, formula.body) for s in sols)
-        return all(eval_event(s, formula.body) for s in sols)
-    if isinstance(formula, Prim):
-        return eval_event(actual, formula)
-    if isinstance(formula, Not):
-        return not _eval_nr(model, context, actual, formula.body)
-    if isinstance(formula, And):
-        return all(_eval_nr(model, context, actual, part) for part in formula.parts)
-    if isinstance(formula, Or):
-        return any(_eval_nr(model, context, actual, part) for part in formula.parts)
-    raise UnknownVariable(f"cannot evaluate {formula!r}")
+    def leaf(f: Formula) -> bool:
+        if isinstance(f, Basic):
+            sols = solve_all(model, context, dict(f.intervention))
+            quantifier = any if f.diamond else all
+            return quantifier(eval_event(s, f.body) for s in sols)
+        return eval_event(actual, f)
+    return _truth(formula, leaf)
 
 
 def eval_trace(model: CausalModel, context: Mapping[str, Value],
                formula: Formula) -> list[tuple[dict[str, Value], Assignment]]:
     """(intervention, solved world) pairs for every Basic node, in eval order."""
     out: list[tuple[dict[str, Value], Assignment]] = []
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Basic):
-            iv = dict(f.intervention)
+    for leaf in _leaves(formula):
+        if isinstance(leaf, Basic):
+            iv = dict(leaf.intervention)
             out.append((iv, solve(model, context, iv)))
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or)):
-            for part in f.parts:
-                walk(part)
-    walk(formula)
     return out
 
 

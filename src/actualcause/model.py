@@ -110,9 +110,6 @@ class Signature:
         except KeyError:
             raise UnknownVariable(f"unknown variable {name!r}") from None
 
-    def is_endogenous(self, name: str) -> bool:
-        return name in self.ranges and name in set(self.endogenous)
-
 
 class Mechanism:
     """Total rule fixing one endogenous variable from its dependencies.
@@ -261,31 +258,30 @@ def _verify_mechanism(signature: Signature, mech: Mechanism,
                         f"mechanism for {mech.target}: row key {key} uses a "
                         f"value outside its dependency's domain")
 
-    if size <= totality_bound:
-        table: dict[tuple[Value, ...], Value] = {}
-        for key in itertools.product(*dep_domains):
-            env = dict(zip(mech.deps, key))
-            out = mech.value_at(env)
-            if out not in target_domain:
-                raise OutOfRangeOutput(
-                    f"mechanism for {mech.target} yields {out!r} at {env}, "
-                    f"outside domain {target_domain.values}",
-                    target=mech.target, inputs=env)
-            table[key] = out
-        return Mechanism.from_table(mech.target, mech.deps, table), True
-
-    # Too large to verify exhaustively: deterministic spot check only.
-    rng = random.Random(0xAC2)
-    for _ in range(_SPOT_CHECK_SAMPLES):
-        key = tuple(rng.choice(values) for values in dep_domains)
+    exhaustive = size <= totality_bound
+    if exhaustive:
+        rows: Iterable[tuple[Value, ...]] = itertools.product(*dep_domains)
+    else:
+        # Too large to verify exhaustively: deterministic spot check only.
+        rng = random.Random(0xAC2)
+        rows = (tuple(rng.choice(values) for values in dep_domains)
+                for _ in range(_SPOT_CHECK_SAMPLES))
+    # Each row env holds exactly the dependencies, so a callable rule can
+    # take it as is.
+    evaluate = mech.value_at if mech.fn is None else mech.fn
+    table: dict[tuple[Value, ...], Value] = {}
+    for key in rows:
         env = dict(zip(mech.deps, key))
-        out = mech.value_at(env)
+        out = evaluate(env)
         if out not in target_domain:
             raise OutOfRangeOutput(
                 f"mechanism for {mech.target} yields {out!r} at {env}, "
                 f"outside domain {target_domain.values}",
                 target=mech.target, inputs=env)
-    return mech, False
+        table[key] = out
+    if not exhaustive:
+        return mech, False
+    return Mechanism.from_table(mech.target, mech.deps, table), True
 
 
 def build_model(signature: Signature, mechanisms: Iterable[Mechanism], *,
@@ -424,18 +420,12 @@ def solve(model: CausalModel, context: Mapping[str, Value],
         raise NotRecursive(
             "model has cyclic dependencies; use solve_all instead")
     _check_context(model, context)
-    if intervention:
-        _check_intervention(model, intervention)
+    intervention = intervention or {}
+    _check_intervention(model, intervention)
     env: dict[str, Value] = dict(context)
-    if intervention:
-        for name in model.order:
-            if name in intervention:
-                env[name] = intervention[name]
-            else:
-                env[name] = model.mechanisms[name].value_at(env)
-    else:
-        for name in model.order:
-            env[name] = model.mechanisms[name].value_at(env)
+    for name in model.order:
+        env[name] = (intervention[name] if name in intervention
+                     else model.mechanisms[name].value_at(env))
     return {v: env[v] for v in model.endogenous}
 
 

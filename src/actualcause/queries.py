@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .cause import (
+    DEFAULT_MAX_VARS,
     CandidateCause,
     CauseQuery,
     CauseVerdict,
@@ -46,7 +47,7 @@ def _context_of(loaded: LoadedModel, doc: QueryDocument) -> dict[str, Value]:
 
 
 def run_query(loaded: LoadedModel, doc: QueryDocument, *,
-              max_vars: int = 16) -> QueryOutcome:
+              max_vars: int = DEFAULT_MAX_VARS) -> QueryOutcome:
     context = _context_of(loaded, doc)
     model = loaded.extended() if doc.extended else loaded.model
 

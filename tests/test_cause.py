@@ -302,6 +302,31 @@ class TestContrastive:
                                     effect_alternative=p("F", 1))
         assert verdict.overall
 
+    def test_consequent_contrast_checks_minimality(self, corpus):
+        model, u = ctx(corpus, "arson_three_valued", "u11")
+        both = cause_of(p("ML1", 1), p("ML2", 1))
+
+        def contrast(cause, variant):
+            query = CauseQuery(model, u, cause, p("FB", 1), variant=variant)
+            return contrastive_cause(query, "consequent",
+                                     effect_alternative=p("FB", 0))
+        updated = contrast(both, DefinitionVariant.UPDATED)
+        assert not updated.overall and updated.ac3 is False
+        assert updated.ac3_violator == (p("ML1", 1),)
+        strong = contrast(both, DefinitionVariant.STRONG)
+        assert strong.overall and strong.ac2c is True
+        single = contrast(cause_of(p("ML1", 1)), DefinitionVariant.STRONG)
+        assert not single.overall and single.ac2c is False
+
+    def test_consequent_contrast_minimality_on_rain(self, corpus):
+        model, u = ctx(corpus, "april_showers", "base")
+        query = CauseQuery(model, u, cause_of(p("AS", 1), p("ES", "s11")),
+                           p("F", 2))
+        verdict = contrastive_cause(query, "consequent",
+                                    effect_alternative=p("F", 1))
+        assert verdict.ac3 is False
+        assert verdict.ac3_violator == (p("AS", 1),)
+
     def test_compatible_alternative_rejected(self, corpus):
         model, u = ctx(corpus, "april_showers", "base")
         query = CauseQuery(model, u, cause_of(p("AS", 1)), p("F", 2))

@@ -8,6 +8,7 @@ from actualcause import (
     load_model,
     parse_model,
     parse_query,
+    run_query,
     serialize_model,
     solve,
 )
@@ -111,6 +112,21 @@ class TestParseModel:
         with pytest.raises(DslTypeError):
             load_model(text)
 
+    @pytest.mark.parametrize("op", [" + ", " & "])
+    def test_equations_above_the_row_bound_are_spot_checked(self, op):
+        # 21 binary inputs give 2^21 rows, above the exhaustive bound of 2^20
+        inputs = [f"U{i}" for i in range(21)]
+        lines = ["model wide {"] + [f"  exo {u} : {{0, 1}}" for u in inputs]
+        lines += ["  var Y : {0, 1}", "  eq Y = " + op.join(inputs), "}"]
+        text = "\n".join(lines)
+        eq_line = len(lines) - 1
+        if op == " + ":
+            with pytest.raises(DslTypeError) as err:
+                load_model(text)
+            assert err.value.line == eq_line
+        else:
+            assert load_model(text).model.unverified_totality == ("Y",)
+
     def test_comments_and_newlines_are_insignificant(self):
         squashed = " ".join(line.split("#")[0]
                             for line in FIRE.strip().splitlines())
@@ -166,6 +182,18 @@ class TestFormulaSyntax:
         loaded = load_model(FIRE)
         with pytest.raises(UnknownIdentifier):
             parse_event_formula("F=9", loaded.model)
+
+    def test_counterfactual_implication_desugars(self):
+        loaded = load_model(FIRE)
+        f = parse_causal_formula("[L<-0](F=0) => F=1", loaded.model)
+        assert f == Or((Not(Basic((("L", 0),), Prim("F", 0))), Prim("F", 1)))
+
+    def test_counterfactual_implication_in_eval_query(self):
+        loaded = load_model(FIRE)
+        doc = parse_query("eval [L<-0, ML<-0](F=0) => F=0 context base",
+                          loaded)
+        assert isinstance(doc.formula, Or)
+        assert run_query(loaded, doc).verdict is False
 
     def test_exogenous_variables_are_not_events(self):
         loaded = load_model(FIRE)
