@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     DisallowedActualWorld,
@@ -56,7 +56,7 @@ from .formula import (
     satisfiable_together,
     validate_event_formula,
 )
-from .model import CausalModel, ExtendedCausalModel, Value, solve
+from .model import CausalModel, ExtendedCausalModel, Value, _solve, solve
 
 DEFAULT_MAX_VARS = 16
 
@@ -118,10 +118,6 @@ class SearchStats:
     partitions_examined: int = 0
     settings_examined: int = 0
 
-    def merged(self, other: "SearchStats") -> "SearchStats":
-        return SearchStats(self.partitions_examined + other.partitions_examined,
-                           self.settings_examined + other.settings_examined)
-
 
 @dataclass(frozen=True)
 class CauseVerdict:
@@ -172,16 +168,31 @@ def _compile_allow(model: CausalModel, allowable: Any) -> Callable | None:
     return lambda a: eval_event(a, formula)
 
 
-class _Engine:
-    """Shared state for one (model, context, effect) search session.
+# Key slot of a variable that the scenario leaves to its mechanism; not None,
+# since a Domain may contain None.
+_FREE = object()
 
-    Scenario solutions, their allowability, and the effect's truth value are
-    memoised per intervention, which is what makes the subset quantifier in
-    AC2(b) affordable: the same scenarios recur across candidate witnesses.
+# The eight probe outcomes; every cache entry points at one of them.
+_OUTCOMES = {o: o for o in itertools.product((False, True), repeat=3)}
+
+
+class _Engine:
+    """Shared state for one search session over (model, context, effect),
+    with every input checked once, here.
+
+    A scenario clamps some endogenous variables; its key holds one slot per
+    endogenous variable in declaration order, with the clamped value or
+    ``_FREE``.  Each scenario is solved at most once and its outcome memoised,
+    which is what makes the subset quantifier in AC2(b) affordable: the same
+    scenarios recur across candidate witnesses.  ``defeat`` replaces the
+    effect's negation as the goal of clause (a) (used for contrastive
+    queries).
     """
 
     def __init__(self, model: CausalModel | ExtendedCausalModel,
-                 context: Mapping[str, Value], effect: Formula, *,
+                 context: Mapping[str, Value], effect: Formula,
+                 cause: CandidateCause | None = None, *,
+                 defeat: Formula | None = None,
                  max_vars: int = DEFAULT_MAX_VARS):
         if isinstance(model, ExtendedCausalModel):
             self.model = model.base
@@ -197,44 +208,65 @@ class _Engine:
                 f"cap of {max_vars}; raise max_vars to search anyway")
         self.context = dict(context)
         self.effect = effect
+        self.defeat = defeat
         validate_event_formula(self.model, effect)
+        if defeat is not None:
+            validate_event_formula(self.model, defeat)
         self.endo = self.model.endogenous
         self.index = {v: i for i, v in enumerate(self.endo)}
+        for e in cause.events if cause is not None else ():
+            if e.var not in self.index:
+                raise UnknownVariable(f"{e.var!r} is not an endogenous variable")
+            if e.value not in self.model.domain_of(e.var):
+                raise OutOfRangeValue(
+                    f"cause value {e.value!r} outside domain of {e.var}")
         self.actual = solve(self.model, self.context)
         if self.allow is not None and not self.allow(self.actual):
             raise DisallowedActualWorld(
                 "the solved actual world violates the allowable-settings rule")
-        self._cache: dict[tuple, tuple[bool, bool]] = {}
+        # One copy of each (var, actual value) pair and of each x' or w'
+        # tuple, shared by all witnesses, so callers that keep many hold few.
+        self.actual_pairs = {v: (v, self.actual[v]) for v in self.endo}
+        self._tuples: dict[tuple[Value, ...], tuple[Value, ...]] = {}
+        self._unclamped = (_FREE,) * len(self.endo)
+        self._cache: dict[tuple, tuple[bool, bool, bool]] = {}
 
     def domain(self, var: str) -> tuple[Value, ...]:
         return self.model.domain_of(var).values
 
-    def probe(self, intervention: Mapping[str, Value]) -> tuple[bool, bool]:
-        """(effect holds, scenario allowable) for one intervention."""
-        key = tuple(sorted(intervention.items(),
-                           key=lambda kv: self.index[kv[0]]))
-        return self.probe_key(key)
+    def key(self, clamps: Iterable[tuple[str, Value]],
+            base: tuple | None = None) -> tuple:
+        """Key of the scenario ``base`` (default: nothing clamped) with the
+        (var, value) ``clamps`` added."""
+        slots = list(self._unclamped if base is None else base)
+        for var, value in clamps:
+            slots[self.index[var]] = value
+        return tuple(slots)
 
-    def probe_key(self, key: tuple[tuple[str, Value], ...]) -> tuple[bool, bool]:
-        """Same as probe for a pre-canonicalised (declaration-ordered) key."""
+    def probe(self, key: tuple) -> tuple[bool, bool, bool]:
+        """(effect holds, clause-(a) goal reached, allowable) for one
+        scenario."""
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        sol = solve(self.model, self.context, dict(key))
-        result = (eval_event(sol, self.effect),
-                  True if self.allow is None else bool(self.allow(sol)))
-        self._cache[key] = result
-        return result
+        sol = _solve(self.model, self.context,
+                     {v: x for v, x in zip(self.endo, key) if x is not _FREE})
+        holds = eval_event(sol, self.effect)
+        reached = (not holds if self.defeat is None
+                   else eval_event(sol, self.defeat))
+        outcome = (holds, reached, self.allow is None or bool(self.allow(sol)))
+        self._cache[key] = outcome = _OUTCOMES[outcome]
+        return outcome
 
     # -- AC2 clause machinery ------------------------------------------
 
-    def _b_holds(self, xvars: tuple[str, ...], xvals: tuple[Value, ...],
+    def _b_holds(self, held: tuple, free: tuple[str, ...],
                  w_set: tuple[str, ...], w_prime: tuple[Value, ...],
-                 z_free: tuple[str, ...], legacy: bool) -> bool:
+                 legacy: bool) -> bool:
         """Clause (b): pinning any subset of W at w' and any subset of the
         process side at its actual values must keep the effect true.
 
-        The cause variables are already clamped to their actual values, so
+        ``held`` clamps the cause variables to their actual values, so
         subsets of Z are taken over Z minus X; pinning a cause variable again
         would repeat the same value.  Under the legacy reading only the full
         contingency set is applied.
@@ -242,85 +274,47 @@ class _Engine:
         Because every optional variable contributes exactly one pinned pair
         (contingency variables at w', process variables at their actuals),
         the pair (W', Z') ranges bijectively over subsets of one combined
-        option list.  The quantifier is universal, so the walk order is free;
-        subsets are visited smallest-first, which finds violations early.
+        option list in declaration order.  The quantifier is universal, so
+        the walk order is free; subsets are visited smallest-first, which
+        finds violations early.
         """
-        n_w = len(w_set)
-        slots = [(self.index[v], v, val, -1) for v, val in zip(xvars, xvals)]
-        slots += [(self.index[v], v, w_prime[i], i)
-                  for i, v in enumerate(w_set)]
-        slots += [(self.index[v], v, self.actual[v], n_w + j)
-                  for j, v in enumerate(z_free)]
-        slots.sort()
-        picked = [(v, val) for _, v, val, _ in slots]
-        groups = [g for _, _, _, g in slots]
-
+        pins = dict(zip(w_set, w_prime))
         if legacy:
-            always = (1 << n_w) - 1
-            option_ids = [g for g in groups if g >= n_w]
-        else:
-            always = 0
-            option_ids = [g for g in groups if g >= 0]
-        for k in range(len(option_ids) + 1):
-            for combo in itertools.combinations(option_ids, k):
-                mask = always
-                for g in combo:
-                    mask |= 1 << g
-                key = tuple(pair for pair, g in zip(picked, groups)
-                            if g < 0 or mask >> g & 1)
-                holds, allowed = self.probe_key(key)
+            held = self.key(pins.items(), held)
+            free = tuple(v for v in free if v not in pins)
+        options = [(v, pins.get(v, self.actual[v])) for v in free]
+        for k in range(len(options) + 1):
+            for combo in itertools.combinations(options, k):
+                holds, _, allowed = self.probe(self.key(combo, held))
                 if allowed and not holds:
                     return False
         return True
 
-    def _slots(self, xvars: tuple[str, ...],
-               w_set: tuple[str, ...]) -> list[tuple[str, str, int]]:
-        """Declaration-ordered (var, group, position) template for scenarios
-        that clamp every cause variable and every contingency variable."""
-        slots = [(self.index[v], v, "x", i) for i, v in enumerate(xvars)]
-        slots += [(self.index[v], v, "w", i) for i, v in enumerate(w_set)]
-        slots.sort()
-        return [(v, g, i) for _, v, g, i in slots]
-
-    @staticmethod
-    def _fill(slots, x_vals, w_vals) -> tuple[tuple[str, Value], ...]:
-        return tuple((v, x_vals[i] if g == "x" else w_vals[i])
-                     for v, g, i in slots)
-
-    def _c_holds(self, slots, xvals: tuple[Value, ...],
-                 w_set: tuple[str, ...]) -> bool:
+    def _c_holds(self, held: tuple, w_set: tuple[str, ...]) -> bool:
         """Clause (c): X=x forces the effect no matter how W is set."""
         for w_vals in itertools.product(*(self.domain(w) for w in w_set)):
-            holds, allowed = self.probe_key(self._fill(slots, xvals, w_vals))
+            holds, _, allowed = self.probe(self.key(zip(w_set, w_vals), held))
             if allowed and not holds:
                 return False
         return True
 
     def witnesses(self, cause: CandidateCause, variant: DefinitionVariant,
                   stats: SearchStats, *,
-                  defeat: Formula | None = None,
                   fixed_w: tuple[str, ...] | None = None,
                   x_override: tuple[Value, ...] | None = None,
                   ) -> Iterator[Witness]:
         """Yield AC2 witnesses in canonical order.
 
-        ``defeat`` replaces the effect's negation as the goal of clause (a)
-        (used for contrastive queries).  ``fixed_w`` restricts the search to
-        one contingency set.  ``x_override`` substitutes the cause values used
-        on the (b)/(c) side, which implements the weak antecedent contrast.
+        ``fixed_w`` restricts the search to one contingency set.
+        ``x_override`` substitutes the cause values used on the (b)/(c) side,
+        which implements the weak antecedent contrast.
         """
         xvars = cause.vars
-        xvals = x_override if x_override is not None else cause.values
-        for x in xvars:
-            if x not in self.index:
-                raise UnknownVariable(f"{x!r} is not an endogenous variable")
-        for e in cause.events:
-            if e.value not in self.model.domain_of(e.var):
-                raise OutOfRangeValue(
-                    f"cause value {e.value!r} outside domain of {e.var}")
-
-        free = tuple(v for v in self.endo if v not in set(xvars))
+        held = self.key(zip(xvars, x_override if x_override is not None
+                            else cause.values))
+        free = tuple(v for v in self.endo if v not in xvars)
         legacy = variant is DefinitionVariant.LEGACY
+        share = self._tuples.setdefault
 
         if fixed_w is None:
             w_choices: Iterator[tuple[str, ...]] = itertools.chain.from_iterable(
@@ -335,63 +329,55 @@ class _Engine:
                 return  # a single-valued cause variable admits no deviation
         for w_set in w_choices:
             stats.partitions_examined += 1
-            w_in = set(w_set)
-            z_free = tuple(v for v in free if v not in w_in)
-            z_vars = tuple(v for v in self.endo if v not in w_in)
-            z_star = tuple((v, self.actual[v]) for v in z_vars)
-            slots = self._slots(xvars, w_set)
+            z_star = tuple(self.actual_pairs[v] for v in self.endo
+                           if v not in w_set)
+            w_domains = [self.domain(w) for w in w_set]
 
             if variant is DefinitionVariant.STRONG:
-                for w_prime in itertools.product(*(self.domain(w) for w in w_set)):
+                for w_prime in itertools.product(*w_domains):
                     stats.settings_examined += 1
                     first_dev = self._all_deviations_defeat(
-                        slots, deviations, w_prime, defeat)
+                        self.key(zip(w_set, w_prime)), xvars, deviations)
                     if first_dev is None:
                         continue
-                    if not self._b_holds(xvars, xvals, w_set, w_prime,
-                                         z_free, legacy=False):
+                    if not self._b_holds(held, free, w_set, w_prime,
+                                         legacy=False):
                         continue
-                    if not self._c_holds(slots, xvals, w_set):
+                    if not self._c_holds(held, w_set):
                         continue
-                    yield Witness(w_set, first_dev, w_prime, z_star)
+                    yield Witness(w_set, share(first_dev, first_dev),
+                                  share(w_prime, w_prime), z_star)
             else:
                 for x_prime in itertools.product(
                         *(self.domain(x) for x in xvars)):
-                    if x_prime == tuple(cause.values):
+                    if x_prime == cause.values:
                         # Clamping X at its actual value can never satisfy
                         # both (a) and (b); skipping is verdict-preserving.
                         continue
-                    for w_prime in itertools.product(
-                            *(self.domain(w) for w in w_set)):
+                    moved = self.key(zip(xvars, x_prime))
+                    for w_prime in itertools.product(*w_domains):
                         stats.settings_examined += 1
-                        key = self._fill(slots, x_prime, w_prime)
-                        if self._defeats(key, defeat) and self._b_holds(
-                                xvars, xvals, w_set, w_prime, z_free, legacy):
-                            yield Witness(w_set, x_prime, w_prime, z_star)
+                        _, reached, allowed = self.probe(
+                            self.key(zip(w_set, w_prime), moved))
+                        if allowed and reached and self._b_holds(
+                                held, free, w_set, w_prime, legacy):
+                            yield Witness(w_set, share(x_prime, x_prime),
+                                          share(w_prime, w_prime), z_star)
 
-    def _defeats(self, key: tuple[tuple[str, Value], ...],
-                 defeat: Formula | None) -> bool | None:
-        """Clause (a) for one scenario: whether it defeats the effect, or
-        reaches ``defeat`` when one is given; None if it is not allowable."""
-        holds, allowed = self.probe_key(key)
-        if not allowed:
-            return None
-        if defeat is None:
-            return not holds
-        return eval_event(solve(self.model, self.context, dict(key)), defeat)
-
-    def _all_deviations_defeat(self, slots, deviations, w_prime,
-                               defeat) -> tuple[Value, ...] | None:
+    def _all_deviations_defeat(self, wkey: tuple, xvars: tuple[str, ...],
+                               deviations) -> tuple[Value, ...] | None:
         """Strong clause (a): every full deviation of the cause tuple defeats
         the effect under the contingency; returns the first allowable
         deviation as the recorded x' (None if any fails or none is allowable).
         """
         first: tuple[Value, ...] | None = None
         for x_dev in itertools.product(*deviations):
-            defeated = self._defeats(self._fill(slots, x_dev, w_prime), defeat)
-            if defeated is False:
+            _, reached, allowed = self.probe(self.key(zip(xvars, x_dev), wkey))
+            if not allowed:
+                continue
+            if not reached:
                 return None
-            if defeated and first is None:
+            if first is None:
                 first = x_dev
         return first
 
@@ -403,12 +389,6 @@ class _Engine:
                 and eval_event(self.actual, self.effect))
 
 
-def _normalise(query: CauseQuery) -> tuple[_Engine, DefinitionVariant]:
-    engine = _Engine(query.model, query.context, query.effect,
-                     max_vars=query.max_vars)
-    return engine, query.variant
-
-
 def _self_entailed(engine: _Engine, cause: CandidateCause) -> bool:
     ranges = {v: engine.domain(v) for v in engine.endo}
     return entails(ranges, cause.as_formula(), engine.effect)
@@ -416,15 +396,16 @@ def _self_entailed(engine: _Engine, cause: CandidateCause) -> bool:
 
 def is_weak_cause(query: CauseQuery) -> CauseVerdict:
     """AC1 + AC2 under the query's variant; AC3 is not evaluated."""
-    engine, variant = _normalise(query)
-    return _weak_verdict(engine, query.cause, variant, query.exclude_self)
+    engine = _Engine(query.model, query.context, query.effect, query.cause,
+                     max_vars=query.max_vars)
+    return _weak_verdict(engine, query.cause, query.variant,
+                         query.exclude_self)
 
 
-def _weak_verdict(engine, cause, variant, exclude_self=False,
-                  defeat=None) -> CauseVerdict:
+def _weak_verdict(engine, cause, variant, exclude_self=False) -> CauseVerdict:
     stats = SearchStats()
     ac1 = engine.ac1(cause)
-    witness = engine.first_witness(cause, variant, stats, defeat=defeat)
+    witness = engine.first_witness(cause, variant, stats)
     ac2 = witness is not None
     ac2c = ac2 if variant is DefinitionVariant.STRONG else None
     self_entailed = exclude_self and _self_entailed(engine, cause)
@@ -435,8 +416,8 @@ def _weak_verdict(engine, cause, variant, exclude_self=False,
                         variant=variant, stats=stats)
 
 
-def _minimality(engine, cause, variant, stats,
-                defeat=None) -> tuple[bool, tuple[Prim, ...] | None]:
+def _minimality(engine, cause, variant,
+                stats) -> tuple[bool, tuple[Prim, ...] | None]:
     """AC3: no strict nonempty sub-conjunction passes AC1 + AC2.
 
     AC1 for a sub-conjunction follows from the full cause's AC1, so only the
@@ -446,8 +427,7 @@ def _minimality(engine, cause, variant, stats,
     events = cause.events
     for k in range(1, len(events)):
         for sub in itertools.combinations(events, k):
-            witness = engine.first_witness(CandidateCause(sub), variant, stats,
-                                           defeat=defeat)
+            witness = engine.first_witness(CandidateCause(sub), variant, stats)
             if witness is not None:
                 return False, sub
     return True, None
@@ -455,18 +435,18 @@ def _minimality(engine, cause, variant, stats,
 
 def is_actual_cause(query: CauseQuery) -> CauseVerdict:
     """AC1 + AC2 + AC3 under the query's variant."""
-    engine, variant = _normalise(query)
-    return _actual_verdict(engine, query.cause, variant, query.exclude_self)
+    engine = _Engine(query.model, query.context, query.effect, query.cause,
+                     max_vars=query.max_vars)
+    return _actual_verdict(engine, query.cause, query.variant,
+                           query.exclude_self)
 
 
-def _actual_verdict(engine, cause, variant, exclude_self=False,
-                    defeat=None) -> CauseVerdict:
-    """AC1 + AC2 + AC3; ``defeat`` replaces the effect's negation as the goal
-    of clause (a) throughout, as in the consequent contrast."""
-    weak = _weak_verdict(engine, cause, variant, exclude_self, defeat)
+def _actual_verdict(engine, cause, variant, exclude_self=False) -> CauseVerdict:
+    """AC1 + AC2 + AC3, with clause (a) aiming at the engine's goal."""
+    weak = _weak_verdict(engine, cause, variant, exclude_self)
     if not (weak.ac1 and weak.ac2):
         return weak
-    ac3, violator = _minimality(engine, cause, variant, weak.stats, defeat)
+    ac3, violator = _minimality(engine, cause, variant, weak.stats)
     return replace(weak, ac3=ac3, ac3_violator=violator,
                    overall=weak.overall and ac3)
 
@@ -490,9 +470,9 @@ def is_strong_cause(query: CauseQuery) -> CauseVerdict:
 
 def enumerate_witnesses(query: CauseQuery) -> list[Witness]:
     """All AC2 witnesses in canonical order; empty iff AC2 fails."""
-    engine, variant = _normalise(query)
-    stats = SearchStats()
-    return list(engine.witnesses(query.cause, variant, stats))
+    engine = _Engine(query.model, query.context, query.effect, query.cause,
+                     max_vars=query.max_vars)
+    return list(engine.witnesses(query.cause, query.variant, SearchStats()))
 
 
 def enumerate_causes(model: CausalModel | ExtendedCausalModel,
@@ -532,7 +512,7 @@ def active_processes(model: CausalModel | ExtendedCausalModel,
 
     Raises NoCause when no split works at all (AC2 fails outright).
     """
-    engine = _Engine(model, context, effect, max_vars=max_vars)
+    engine = _Engine(model, context, effect, cause, max_vars=max_vars)
     stats = SearchStats()
     if not engine.ac1(cause):
         raise NoCause(f"{cause} or the effect fails to hold in the actual world")
@@ -568,18 +548,18 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
                            fails only by not being actual: the no-side-effect
                            clause (b) accepts x' in place of x.
     """
-    engine, variant = _normalise(query)
-    cause = query.cause
+    engine = _Engine(query.model, query.context, query.effect, query.cause,
+                     defeat=effect_alternative if mode == "consequent" else None,
+                     max_vars=query.max_vars)
+    cause, variant = query.cause, query.variant
     if mode == "consequent":
         if effect_alternative is None:
             raise NotContrastive("consequent contrast needs an alternative outcome")
-        validate_event_formula(engine.model, effect_alternative)
         ranges = {v: engine.domain(v) for v in engine.endo}
         if satisfiable_together(ranges, query.effect, effect_alternative):
             raise NotContrastive(
                 "the contrasted outcomes are jointly satisfiable")
-        return _actual_verdict(engine, cause, variant,
-                               defeat=effect_alternative)
+        return _actual_verdict(engine, cause, variant)
 
     if mode not in ("antecedent_strong", "antecedent_weak"):
         raise NotContrastive(f"unknown contrast mode {mode!r}")
@@ -598,14 +578,12 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
     if not base.overall:
         return base
     if mode == "antecedent_strong":
-        holds, _ = engine.probe({xvar: value_alternative})
+        holds, _, _ = engine.probe(engine.key([(xvar, value_alternative)]))
         extra_ok = not holds
     else:
-        stats = SearchStats()
         extra_ok = engine.first_witness(
-            cause, variant, stats,
+            cause, variant, base.stats,
             x_override=(value_alternative,)) is not None
-        base = replace(base, stats=base.stats.merged(stats))
     return replace(base, overall=base.overall and extra_ok)
 
 
@@ -618,12 +596,12 @@ def classify_contributory(query: CauseQuery) -> str:
     witness bends some contingency variable away from its actual value, and
     ``"not_a_cause"`` otherwise.
     """
-    engine, variant = _normalise(query)
-    stats = SearchStats()
+    engine = _Engine(query.model, query.context, query.effect, query.cause,
+                     max_vars=query.max_vars)
     if not engine.ac1(query.cause):
         return "not_a_cause"
     any_witness = False
-    for witness in engine.witnesses(query.cause, variant, stats):
+    for witness in engine.witnesses(query.cause, query.variant, SearchStats()):
         any_witness = True
         if all(value == engine.actual[var]
                for var, value in zip(witness.w_set, witness.w_prime)):

@@ -24,7 +24,7 @@ from .dsl import (
 )
 from .errors import CausalityError, SearchSpaceTooLarge
 from .formula import eval_trace
-from .queries import QueryOutcome, run_query
+from .queries import QueryOutcome, _context_of, run_query
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -179,6 +179,13 @@ def _report_json(outcome: QueryOutcome, wall_ms: float) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _witness_text(witness) -> str:
+    w_text = ", ".join(f"{v}={x}" for v, x in zip(witness.w_set,
+                                                   witness.w_prime)) or "(empty)"
+    x_text = ", ".join(str(x) for x in witness.x_prime)
+    return f"W = {{{w_text}}}  x' = ({x_text})"
+
+
 def _clause_line(label: str, value) -> str:
     if value is None:
         return f"{label}: not evaluated"
@@ -201,23 +208,15 @@ def _report_text(outcome: QueryOutcome, wall_ms: float) -> list[str]:
             lines.append("  rejected: the cause logically entails the effect")
         if verdict.witness is not None:
             w = verdict.witness
-            w_text = ", ".join(f"{v}={x}" for v, x in zip(w.w_set, w.w_prime)) \
-                or "(empty)"
-            x_text = ", ".join(str(x) for x in w.x_prime)
-            z_text = ", ".join(v for v, _ in w.z_star)
-            lines.append(f"witness: W = {{{w_text}}}  x' = ({x_text})  "
-                         f"Z = {{{z_text}}}")
+            lines.append(f"witness: {_witness_text(w)}  "
+                         f"Z = {{{', '.join(w.z_vars())}}}")
     if outcome.kind == "causes":
         if outcome.causes:
             lines.extend(f"cause: {c}" for c in outcome.causes)
         else:
             lines.append("no causes found")
     if outcome.kind == "witnesses":
-        for w in outcome.witnesses:
-            w_text = ", ".join(f"{v}={x}" for v, x in zip(w.w_set, w.w_prime)) \
-                or "(empty)"
-            x_text = ", ".join(str(x) for x in w.x_prime)
-            lines.append(f"witness: W = {{{w_text}}}  x' = ({x_text})")
+        lines.extend(f"witness: {_witness_text(w)}" for w in outcome.witnesses)
         if not outcome.witnesses:
             lines.append("no witnesses")
     if outcome.kind == "process":
@@ -264,9 +263,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for line in _report_text(outcome, wall_ms):
             print(line)
         if getattr(args, "trace", False) and doc.formula is not None:
-            context = (dict(doc.context_values) if doc.context_values
-                       else loaded.context(doc.context_name))
-            for iv, sol in eval_trace(loaded.model, context, doc.formula):
+            for iv, sol in eval_trace(loaded.model, _context_of(loaded, doc),
+                                      doc.formula):
                 iv_text = ", ".join(f"{v}<-{x}" for v, x in iv.items()) or "(none)"
                 sol_text = ", ".join(f"{v}={sol[v]}" for v in sol)
                 print(f"trace: [{iv_text}] -> {sol_text}")

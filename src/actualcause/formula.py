@@ -163,15 +163,20 @@ def eval_formula(model: CausalModel, context: Mapping[str, Value],
     """Truth of a counterfactual formula in a recursive model and context.
 
     Every Basic node solves the intervened system from scratch; since the
-    solution is unique, the box and diamond readings agree here.
+    solution is unique, the box and diamond readings agree here.  Bare
+    primitive events share one solve of the actual world.
     """
     if not model.recursive:
         raise NotRecursive("use eval_nonrecursive for cyclic models")
+    actual: Assignment | None = None
 
     def leaf(f: Formula) -> bool:
+        nonlocal actual
         if isinstance(f, Basic):
             return eval_event(solve(model, context, dict(f.intervention)), f.body)
-        return eval_event(solve(model, context), f)
+        if actual is None:
+            actual = solve(model, context)
+        return eval_event(actual, f)
     return _truth(formula, leaf)
 
 

@@ -422,6 +422,12 @@ def solve(model: CausalModel, context: Mapping[str, Value],
     _check_context(model, context)
     intervention = intervention or {}
     _check_intervention(model, intervention)
+    return _solve(model, context, intervention)
+
+
+def _solve(model: CausalModel, context: Mapping[str, Value],
+           intervention: Mapping[str, Value]) -> Assignment:
+    """solve's loop, for inputs already checked against a recursive model."""
     env: dict[str, Value] = dict(context)
     for name in model.order:
         env[name] = (intervention[name] if name in intervention

@@ -27,7 +27,9 @@ from actualcause.errors import (
     EffectNotActual,
     NoCause,
     NotContrastive,
+    OutOfRangeValue,
     SearchSpaceTooLarge,
+    UnknownVariable,
 )
 from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
 from conftest import random_recursive_model
@@ -406,6 +408,37 @@ class TestExtendedModels:
         with pytest.raises(DisallowedActualWorld):
             is_actual_cause(CauseQuery(restricted, u, cause_of(p("FS", 1)),
                                        p("FF", 1)))
+
+
+class TestValidationBoundary:
+    ENTRY_POINTS = {
+        "weak": is_weak_cause,
+        "actual": is_actual_cause,
+        "strong": is_strong_cause,
+        "witnesses": enumerate_witnesses,
+        "classify": classify_contributory,
+        "process": lambda q: active_processes(q.model, q.context, q.cause,
+                                              q.effect),
+        "consequent": lambda q: contrastive_cause(
+            q, "consequent", effect_alternative=p("BS", 0)),
+        "antecedent_strong": lambda q: contrastive_cause(
+            q, "antecedent_strong", value_alternative=0),
+        "antecedent_weak": lambda q: contrastive_cause(
+            q, "antecedent_weak", value_alternative=0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("event, error", [
+        (p("UST", 1), UnknownVariable),
+        (p("Nope", 1), UnknownVariable),
+        (p("ST", 7), OutOfRangeValue),
+    ], ids=["exogenous", "undeclared", "out_of_range"])
+    def test_cause_outside_the_model_is_a_typed_error(self, corpus, entry,
+                                                       event, error):
+        model, u = ctx(corpus, "rock_refined", "both")
+        query = CauseQuery(model, u, cause_of(event), p("BS", 1))
+        with pytest.raises(error):
+            self.ENTRY_POINTS[entry](query)
 
 
 class TestOracleAgreementSample:

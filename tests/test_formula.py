@@ -70,6 +70,25 @@ class TestCounterfactualEvaluation:
         with pytest.raises(NotRecursive):
             eval_formula(model, {"U": 0}, p("X", 0))
 
+    @pytest.mark.parametrize("text, solves", [
+        ("ST=1 & BT=1 & SH=1 & BH=0 & BS=1", 1),
+        ("[ST<-0](BS=1) & ST=1 & BS=1", 2),
+    ])
+    def test_bare_events_share_one_actual_solve(self, corpus, monkeypatch,
+                                                text, solves):
+        from actualcause import formula
+        from actualcause.dsl import parse_causal_formula
+        loaded = corpus["rock_refined"].loaded
+        f = parse_causal_formula(text, loaded.model)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+        monkeypatch.setattr(formula, "solve", counted)
+        assert eval_formula(loaded.model, loaded.context("both"), f)
+        assert len(calls) == solves
+
     def test_trace_reports_each_intervened_world(self, corpus):
         loaded = corpus["doctor"].loaded
         f = Basic((("MT", 0),), alive())

@@ -19,6 +19,8 @@ from actualcause import (
     build_model,
     cause_of,
     enumerate_causes,
+    enumerate_witnesses,
+    is_actual_cause,
     is_weak_cause,
     load_model,
     p,
@@ -27,7 +29,7 @@ from actualcause import (
 )
 from actualcause.dsl import parse_query
 from actualcause.errors import DisallowedActualWorld
-from actualcause.oracle import weak_cause_bruteforce
+from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
 from actualcause.queries import run_query
 from conftest import random_recursive_model
 
@@ -55,6 +57,52 @@ class TestLegacyVariantAudit:
                                 model, context, events, effect):
                             differs += 1
         assert differs > 0  # the family does exercise the difference
+
+
+def mixed_domain_model(seed: int):
+    """Seeded random acyclic model of 3 or 4 variables, each binary or
+    3-valued with equal odds, behind one binary context input."""
+    rng = random.Random(31_000 + seed)
+    endo = tuple(f"V{i}" for i in range(rng.randint(3, 4)))
+    ranges = {"U": Domain((0, 1))}
+    ranges.update({v: Domain((0, 1, 2) if rng.random() < 0.5 else (0, 1))
+                   for v in endo})
+    mechanisms = []
+    for i, var in enumerate(endo):
+        deps = tuple(d for d in ("U", *endo[:i]) if rng.random() < 0.6)
+        rows = itertools.product(*(ranges[d].values for d in deps))
+        table = {key: rng.choice(ranges[var].values) for key in rows}
+        mechanisms.append(Mechanism.from_table(var, deps, table))
+    return build_model(Signature(("U",), endo, ranges), mechanisms,
+                       name=f"mixed_{seed}")
+
+
+class TestMixedDomainAudit:
+    def test_actual_causes_and_witnesses_match_the_oracle(self):
+        checked = positive = three_valued = 0
+        for seed in range(15):
+            model = mixed_domain_model(seed)
+            endo = model.endogenous
+            three_valued += sum(len(model.domain_of(v)) == 3 for v in endo)
+            causes = [c for k in (1, 2) for c in itertools.combinations(endo, k)]
+            for context in ({"U": 0}, {"U": 1}):
+                actual = solve(model, context)
+                for xs, y in itertools.product(causes, endo):
+                    events = tuple(p(x, actual[x]) for x in xs)
+                    effect = p(y, actual[y])
+                    for variant in (DefinitionVariant.UPDATED,
+                                    DefinitionVariant.LEGACY):
+                        query = CauseQuery(model, context, cause_of(*events),
+                                           effect, variant=variant)
+                        legacy = variant is DefinitionVariant.LEGACY
+                        verdict = is_actual_cause(query)
+                        assert verdict.overall == actual_cause_bruteforce(
+                            model, context, events, effect, legacy=legacy)
+                        assert bool(enumerate_witnesses(query)) == (
+                            verdict.ac1 and verdict.ac2)
+                        checked += 1
+                        positive += verdict.overall
+        assert checked > 1000 and positive > 50 and three_valued > 10
 
 
 class TestExtendedModeAudit:
