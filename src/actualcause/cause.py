@@ -35,7 +35,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     DisallowedActualWorld,
@@ -50,13 +51,15 @@ from .errors import (
 from .formula import (
     Formula,
     Prim,
+    compile_event,
     conj,
     entails,
     eval_event,
+    event_vars,
     satisfiable_together,
     validate_event_formula,
 )
-from .model import CausalModel, ExtendedCausalModel, Value, _solve, solve
+from .model import CausalModel, ExtendedCausalModel, Value, solve
 
 DEFAULT_MAX_VARS = 16
 
@@ -152,28 +155,31 @@ class CauseQuery:
     max_vars: int = DEFAULT_MAX_VARS
 
 
-def _compile_allow(model: CausalModel, allowable: Any) -> Callable | None:
-    """Normalise the allowable-settings payload to a predicate over total
-    endogenous assignments (None means everything is allowable)."""
-    if allowable is None:
-        return None
-    if isinstance(allowable, frozenset | set):
-        endo = model.endogenous
-        pool = frozenset(allowable)
-        return lambda a: tuple(a[v] for v in endo) in pool
-    if callable(allowable):
-        return allowable
-    formula = allowable
-    validate_event_formula(model, formula)
-    return lambda a: eval_event(a, formula)
-
-
 # Key slot of a variable that the scenario leaves to its mechanism; not None,
 # since a Domain may contain None.
 _FREE = object()
 
 # The eight probe outcomes; every cache entry points at one of them.
 _OUTCOMES = {o: o for o in itertools.product((False, True), repeat=3)}
+
+# One process-wide copy of each witness part (variable tuples, value tuples,
+# (variable, value) pairs and their tuples), so that callers that keep the
+# witnesses of many queries hold few objects.  Keys are reprs, which tell 1
+# from True; the table is emptied when full, which only costs fresh copies.
+_PARTS: dict[str, tuple] = {}
+_PARTS_CAP = 1 << 14
+
+
+def _part(part: tuple) -> tuple:
+    if len(_PARTS) >= _PARTS_CAP:
+        _PARTS.clear()
+    return _PARTS.setdefault(repr(part), part)
+
+
+def _row_getter(at: tuple[int, ...]) -> Callable[[list], tuple]:
+    """Reader of one mechanism's table key off a slot list."""
+    return (itemgetter(*at) if len(at) > 1
+            else lambda slots: tuple([slots[i] for i in at]))
 
 
 class _Engine:
@@ -186,7 +192,10 @@ class _Engine:
     which is what makes the subset quantifier in AC2(b) affordable: the same
     scenarios recur across candidate witnesses.  ``defeat`` replaces the
     effect's negation as the goal of clause (a) (used for contrastive
-    queries).
+    queries).  Probes run a kernel compiled here over the cone: the
+    endogenous ancestors-or-self of what the effect, the goal and an allow
+    formula read (every variable for an allowable set or predicate).  No
+    clamp outside it can change an outcome, so its variables are not solved.
     """
 
     def __init__(self, model: CausalModel | ExtendedCausalModel,
@@ -194,45 +203,66 @@ class _Engine:
                  cause: CandidateCause | None = None, *,
                  defeat: Formula | None = None,
                  max_vars: int = DEFAULT_MAX_VARS):
+        allowable = None
         if isinstance(model, ExtendedCausalModel):
-            self.model = model.base
-            self.allow = _compile_allow(model.base, model.allowable)
-        else:
-            self.model = model
-            self.allow = None
-        if not self.model.recursive:
+            model, allowable = model.base, model.allowable
+        if isinstance(allowable, frozenset | set):
+            pool = frozenset(allowable)
+            allowable = lambda a: tuple(a[v] for v in model.endogenous) in pool
+        whole = callable(allowable)  # a predicate that reads every variable
+        reads = [f for f in (None if whole else allowable, effect, defeat)
+                 if f is not None]
+        self.model = model
+        if not model.recursive:
             raise NotRecursive("cause checking requires a recursive model")
-        if len(self.model.endogenous) > max_vars:
+        if len(model.endogenous) > max_vars:
             raise SearchSpaceTooLarge(
-                f"{len(self.model.endogenous)} endogenous variables exceed the "
+                f"{len(model.endogenous)} endogenous variables exceed the "
                 f"cap of {max_vars}; raise max_vars to search anyway")
+        for formula in reads:
+            validate_event_formula(model, formula)
         self.context = dict(context)
         self.effect = effect
-        self.defeat = defeat
-        validate_event_formula(self.model, effect)
-        if defeat is not None:
-            validate_event_formula(self.model, defeat)
-        self.endo = self.model.endogenous
+        self.endo = model.endogenous
         self.index = {v: i for i, v in enumerate(self.endo)}
         for e in cause.events if cause is not None else ():
             if e.var not in self.index:
                 raise UnknownVariable(f"{e.var!r} is not an endogenous variable")
-            if e.value not in self.model.domain_of(e.var):
+            if e.value not in model.domain_of(e.var):
                 raise OutOfRangeValue(
                     f"cause value {e.value!r} outside domain of {e.var}")
-        self.actual = solve(self.model, self.context)
-        if self.allow is not None and not self.allow(self.actual):
-            raise DisallowedActualWorld(
-                "the solved actual world violates the allowable-settings rule")
-        # One copy of each (var, actual value) pair and of each x' or w'
-        # tuple, shared by all witnesses, so callers that keep many hold few.
-        self.actual_pairs = {v: (v, self.actual[v]) for v in self.endo}
-        self._tuples: dict[tuple[Value, ...], tuple[Value, ...]] = {}
+        self.actual = solve(model, self.context)
+        self.domains = {v: model.domain_of(v).values for v in self.endo}
+        self.actual_pairs = {v: _part((v, self.actual[v])) for v in self.endo}
         self._unclamped = (_FREE,) * len(self.endo)
         self._cache: dict[tuple, tuple[bool, bool, bool]] = {}
+        # Clause (b) verdicts per (legacy, cause variables) and pinned key.
+        self._b_memo: dict[tuple, dict[tuple, bool]] = {}
 
-    def domain(self, var: str) -> tuple[Value, ...]:
-        return self.model.domain_of(var).values
+        # The kernel's slots hold the key's endogenous values, then the
+        # context; cone variables are solved in topological order.
+        self._names = self.endo + model.exogenous
+        self._context = [self.context[u] for u in model.exogenous]
+        slot = {v: i for i, v in enumerate(self._names)}
+        todo = [v for f in reads for v in event_vars(f)]
+        cone = set(self.endo) if whole else set()
+        while todo:
+            var = todo.pop()
+            if var not in cone:
+                cone.add(var)
+                todo.extend(d for d in model.parents[var] if d in self.index)
+        self._program = [
+            (slot[v], _row_getter(tuple(slot[d] for d in model.parents[v])),
+             model.mechanisms[v].table or {}, model.mechanisms[v].value_at)
+            for v in model.order if v in cone]
+        self._holds = compile_event(effect, self.index)
+        self._defeat = defeat and compile_event(defeat, self.index)
+        self._allowed = (
+            (lambda slots: allowable(dict(zip(self.endo, slots)))) if whole
+            else allowable and compile_event(allowable, self.index))
+        if not self.probe(self._unclamped)[2]:
+            raise DisallowedActualWorld(
+                "the solved actual world violates the allowable-settings rule")
 
     def key(self, clamps: Iterable[tuple[str, Value]],
             base: tuple | None = None) -> tuple:
@@ -249,27 +279,32 @@ class _Engine:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        sol = _solve(self.model, self.context,
-                     {v: x for v, x in zip(self.endo, key) if x is not _FREE})
-        holds = eval_event(sol, self.effect)
-        reached = (not holds if self.defeat is None
-                   else eval_event(sol, self.defeat))
-        outcome = (holds, reached, self.allow is None or bool(self.allow(sol)))
+        slots = [*key, *self._context]
+        for i, row_of, table, value_at in self._program:
+            if slots[i] is _FREE:
+                value = table.get(row_of(slots), _FREE)
+                # A function rule, or a missing row, which value_at reports.
+                slots[i] = (value if value is not _FREE else
+                            value_at(dict(zip(self._names, slots))))
+        holds = self._holds(slots)
+        outcome = (holds,
+                   not holds if self._defeat is None else self._defeat(slots),
+                   self._allowed is None or bool(self._allowed(slots)))
         self._cache[key] = outcome = _OUTCOMES[outcome]
         return outcome
 
     # -- AC2 clause machinery ------------------------------------------
 
-    def _b_holds(self, held: tuple, free: tuple[str, ...],
-                 w_set: tuple[str, ...], w_prime: tuple[Value, ...],
+    def _b_holds(self, pinned: tuple, held: tuple, free: tuple[str, ...],
                  legacy: bool) -> bool:
         """Clause (b): pinning any subset of W at w' and any subset of the
         process side at its actual values must keep the effect true.
 
         ``held`` clamps the cause variables to their actual values, so
         subsets of Z are taken over Z minus X; pinning a cause variable again
-        would repeat the same value.  Under the legacy reading only the full
-        contingency set is applied.
+        would repeat the same value.  ``pinned`` fixes the walk: it adds to
+        ``held`` every W-pin under the legacy reading, which applies only the
+        full contingency set, else only the pins off their actual values.
 
         Because every optional variable contributes exactly one pinned pair
         (contingency variables at w', process variables at their actuals),
@@ -278,11 +313,11 @@ class _Engine:
         the walk order is free; subsets are visited smallest-first, which
         finds violations early.
         """
-        pins = dict(zip(w_set, w_prime))
         if legacy:
-            held = self.key(pins.items(), held)
-            free = tuple(v for v in free if v not in pins)
-        options = [(v, pins.get(v, self.actual[v])) for v in free]
+            held = pinned
+        options = [self.actual_pairs[v] if pinned[self.index[v]] is _FREE
+                   else (v, pinned[self.index[v]]) for v in free
+                   if not legacy or pinned[self.index[v]] is _FREE]
         for k in range(len(options) + 1):
             for combo in itertools.combinations(options, k):
                 holds, _, allowed = self.probe(self.key(combo, held))
@@ -292,7 +327,7 @@ class _Engine:
 
     def _c_holds(self, held: tuple, w_set: tuple[str, ...]) -> bool:
         """Clause (c): X=x forces the effect no matter how W is set."""
-        for w_vals in itertools.product(*(self.domain(w) for w in w_set)):
+        for w_vals in itertools.product(*(self.domains[w] for w in w_set)):
             holds, _, allowed = self.probe(self.key(zip(w_set, w_vals), held))
             if allowed and not holds:
                 return False
@@ -307,62 +342,66 @@ class _Engine:
 
         ``fixed_w`` restricts the search to one contingency set.
         ``x_override`` substitutes the cause values used on the (b)/(c) side,
-        which implements the weak antecedent contrast.
+        which implements the weak antecedent contrast.  A setting whose
+        clause (b) is already known to fail is counted as examined, but its
+        clause (a) probes are skipped.
         """
         xvars = cause.vars
         held = self.key(zip(xvars, x_override if x_override is not None
                             else cause.values))
         free = tuple(v for v in self.endo if v not in xvars)
         legacy = variant is DefinitionVariant.LEGACY
-        share = self._tuples.setdefault
+        strong = variant is DefinitionVariant.STRONG
+        memo = self._b_memo.setdefault((legacy, xvars), {})
 
-        if fixed_w is None:
-            w_choices: Iterator[tuple[str, ...]] = itertools.chain.from_iterable(
-                itertools.combinations(free, k) for k in range(len(free) + 1))
-        else:
-            w_choices = iter([fixed_w])
-
-        if variant is DefinitionVariant.STRONG:
-            deviations = [tuple(v for v in self.domain(x) if v != val)
+        w_choices = [fixed_w] if fixed_w is not None else (
+            w_set for k in range(len(free) + 1)
+            for w_set in itertools.combinations(free, k))
+        if strong:
+            # One pass per w': clause (a) tries every deviation at once.
+            deviations = [tuple(v for v in self.domains[x] if v != val)
                           for x, val in zip(xvars, cause.values)]
             if any(not d for d in deviations):
                 return  # a single-valued cause variable admits no deviation
+            x_choices: list = [None]
+        else:
+            # Clamping X at its actual value can never satisfy both (a) and
+            # (b); skipping it is verdict-preserving.
+            x_choices = [x for x in itertools.product(
+                *(self.domains[x] for x in xvars)) if x != cause.values]
         for w_set in w_choices:
             stats.partitions_examined += 1
             z_star = tuple(self.actual_pairs[v] for v in self.endo
                            if v not in w_set)
-            w_domains = [self.domain(w) for w in w_set]
-
-            if variant is DefinitionVariant.STRONG:
+            w_domains = [self.domains[w] for w in w_set]
+            for x_prime in x_choices:
+                base = (self._unclamped if strong
+                        else self.key(zip(xvars, x_prime)))
                 for w_prime in itertools.product(*w_domains):
                     stats.settings_examined += 1
-                    first_dev = self._all_deviations_defeat(
-                        self.key(zip(w_set, w_prime)), xvars, deviations)
-                    if first_dev is None:
+                    key = self.key(zip(w_set, w_prime), base)
+                    # The clause (b) key keeps only the W-pins that fix its
+                    # walk (see _b_holds).
+                    pinned = self.key(((w, v) for w, v in zip(w_set, w_prime)
+                                       if legacy or v != self.actual[w]), held)
+                    ok = memo.get(pinned)  # None: not walked yet
+                    if ok is False:
                         continue
-                    if not self._b_holds(held, free, w_set, w_prime,
-                                         legacy=False):
+                    x_used = x_prime
+                    if strong:
+                        x_used = self._all_deviations_defeat(key, xvars,
+                                                             deviations)
+                        reached = allowed = x_used is not None
+                    else:
+                        _, reached, allowed = self.probe(key)
+                    if not (allowed and reached):
                         continue
-                    if not self._c_holds(held, w_set):
-                        continue
-                    yield Witness(w_set, share(first_dev, first_dev),
-                                  share(w_prime, w_prime), z_star)
-            else:
-                for x_prime in itertools.product(
-                        *(self.domain(x) for x in xvars)):
-                    if x_prime == cause.values:
-                        # Clamping X at its actual value can never satisfy
-                        # both (a) and (b); skipping is verdict-preserving.
-                        continue
-                    moved = self.key(zip(xvars, x_prime))
-                    for w_prime in itertools.product(*w_domains):
-                        stats.settings_examined += 1
-                        _, reached, allowed = self.probe(
-                            self.key(zip(w_set, w_prime), moved))
-                        if allowed and reached and self._b_holds(
-                                held, free, w_set, w_prime, legacy):
-                            yield Witness(w_set, share(x_prime, x_prime),
-                                          share(w_prime, w_prime), z_star)
+                    if ok is None:
+                        ok = memo[pinned] = self._b_holds(pinned, held, free,
+                                                          legacy)
+                    if ok and (not strong or self._c_holds(held, w_set)):
+                        yield Witness(_part(w_set), _part(x_used),
+                                      _part(w_prime), _part(z_star))
 
     def _all_deviations_defeat(self, wkey: tuple, xvars: tuple[str, ...],
                                deviations) -> tuple[Value, ...] | None:
@@ -373,11 +412,9 @@ class _Engine:
         first: tuple[Value, ...] | None = None
         for x_dev in itertools.product(*deviations):
             _, reached, allowed = self.probe(self.key(zip(xvars, x_dev), wkey))
-            if not allowed:
-                continue
-            if not reached:
+            if allowed and not reached:
                 return None
-            if first is None:
+            if allowed and first is None:
                 first = x_dev
         return first
 
@@ -389,66 +426,51 @@ class _Engine:
                 and eval_event(self.actual, self.effect))
 
 
-def _self_entailed(engine: _Engine, cause: CandidateCause) -> bool:
-    ranges = {v: engine.domain(v) for v in engine.endo}
-    return entails(ranges, cause.as_formula(), engine.effect)
-
-
 def is_weak_cause(query: CauseQuery) -> CauseVerdict:
     """AC1 + AC2 under the query's variant; AC3 is not evaluated."""
     engine = _Engine(query.model, query.context, query.effect, query.cause,
                      max_vars=query.max_vars)
-    return _weak_verdict(engine, query.cause, query.variant,
-                         query.exclude_self)
-
-
-def _weak_verdict(engine, cause, variant, exclude_self=False) -> CauseVerdict:
-    stats = SearchStats()
-    ac1 = engine.ac1(cause)
-    witness = engine.first_witness(cause, variant, stats)
-    ac2 = witness is not None
-    ac2c = ac2 if variant is DefinitionVariant.STRONG else None
-    self_entailed = exclude_self and _self_entailed(engine, cause)
-    return CauseVerdict(ac1=ac1, ac2=ac2, witness=witness, ac3=None,
-                        ac3_violator=None, ac2c=ac2c,
-                        self_entailed=self_entailed,
-                        overall=ac1 and ac2 and not self_entailed,
-                        variant=variant, stats=stats)
-
-
-def _minimality(engine, cause, variant,
-                stats) -> tuple[bool, tuple[Prim, ...] | None]:
-    """AC3: no strict nonempty sub-conjunction passes AC1 + AC2.
-
-    AC1 for a sub-conjunction follows from the full cause's AC1, so only the
-    AC2 search runs here.  The empty conjunction can never satisfy both (a)
-    and (b) and is skipped.
-    """
-    events = cause.events
-    for k in range(1, len(events)):
-        for sub in itertools.combinations(events, k):
-            witness = engine.first_witness(CandidateCause(sub), variant, stats)
-            if witness is not None:
-                return False, sub
-    return True, None
+    return _verdict(engine, query.cause, query.variant, query.exclude_self,
+                    minimal=False)
 
 
 def is_actual_cause(query: CauseQuery) -> CauseVerdict:
     """AC1 + AC2 + AC3 under the query's variant."""
     engine = _Engine(query.model, query.context, query.effect, query.cause,
                      max_vars=query.max_vars)
-    return _actual_verdict(engine, query.cause, query.variant,
-                           query.exclude_self)
+    return _verdict(engine, query.cause, query.variant, query.exclude_self)
 
 
-def _actual_verdict(engine, cause, variant, exclude_self=False) -> CauseVerdict:
-    """AC1 + AC2 + AC3, with clause (a) aiming at the engine's goal."""
-    weak = _weak_verdict(engine, cause, variant, exclude_self)
-    if not (weak.ac1 and weak.ac2):
-        return weak
-    ac3, violator = _minimality(engine, cause, variant, weak.stats)
-    return replace(weak, ac3=ac3, ac3_violator=violator,
-                   overall=weak.overall and ac3)
+def _verdict(engine, cause, variant, exclude_self=False, stats=None, *,
+             minimal=True) -> CauseVerdict:
+    """AC1 + AC2, with clause (a) aiming at the engine's goal, and AC3 if
+    ``minimal``; ``stats``, if given, receives the search counts.
+
+    AC3 asks that no strict nonempty sub-conjunction pass AC1 + AC2.  AC1
+    for a sub-conjunction follows from the full cause's AC1, so only the AC2
+    search runs for it.  The empty conjunction can never satisfy both (a)
+    and (b) and is skipped.
+    """
+    stats = stats or SearchStats()
+    ac1 = engine.ac1(cause)
+    witness = engine.first_witness(cause, variant, stats)
+    ac2 = witness is not None
+    self_entailed = exclude_self and entails(
+        engine.domains, cause.as_formula(), engine.effect)
+    ac3 = violator = None
+    if minimal and ac1 and ac2:
+        subs = (sub for k in range(1, len(cause.events))
+                for sub in itertools.combinations(cause.events, k))
+        violator = next((sub for sub in subs if engine.first_witness(
+            CandidateCause(sub), variant, stats) is not None), None)
+        ac3 = violator is None
+    ac2c = ac2 if variant is DefinitionVariant.STRONG else None
+    return CauseVerdict(ac1=ac1, ac2=ac2, witness=witness, ac3=ac3,
+                        ac3_violator=violator, ac2c=ac2c,
+                        self_entailed=self_entailed,
+                        overall=(ac1 and ac2 and not self_entailed
+                                 and ac3 is not False),
+                        variant=variant, stats=stats)
 
 
 def is_strong_cause(query: CauseQuery) -> CauseVerdict:
@@ -468,37 +490,41 @@ def is_strong_cause(query: CauseQuery) -> CauseVerdict:
     return is_actual_cause(replace(query, variant=DefinitionVariant.STRONG))
 
 
-def enumerate_witnesses(query: CauseQuery) -> list[Witness]:
-    """All AC2 witnesses in canonical order; empty iff AC2 fails."""
+def enumerate_witnesses(query: CauseQuery, *,
+                        stats: SearchStats | None = None) -> list[Witness]:
+    """All AC2 witnesses in canonical order; empty iff AC2 fails.  The
+    search counts are added into ``stats`` when it is given."""
     engine = _Engine(query.model, query.context, query.effect, query.cause,
                      max_vars=query.max_vars)
-    return list(engine.witnesses(query.cause, query.variant, SearchStats()))
+    return list(engine.witnesses(query.cause, query.variant,
+                                 stats or SearchStats()))
 
 
 def enumerate_causes(model: CausalModel | ExtendedCausalModel,
                      context: Mapping[str, Value], effect: Formula, *,
                      variant: DefinitionVariant = DefinitionVariant.UPDATED,
                      max_conjuncts: int = 1, exclude_self: bool = False,
-                     max_vars: int = DEFAULT_MAX_VARS) -> list[CandidateCause]:
+                     max_vars: int = DEFAULT_MAX_VARS,
+                     stats: SearchStats | None = None) -> list[CandidateCause]:
     """All cause conjunctions of bounded width whose verdict is positive.
 
     Candidate conjuncts take their actual values (anything else fails AC1).
-    Canonical order: conjunct count, then variable declaration order.
+    Canonical order: conjunct count, then variable declaration order.  The
+    search counts are added into ``stats`` when it is given.
     """
     engine = _Engine(model, context, effect, max_vars=max_vars)
     if not eval_event(engine.actual, effect):
         raise EffectNotActual(
             "the effect does not hold in the actual world (AC1 can never hold)")
     found: list[CandidateCause] = []
-    width = min(max_conjuncts, len(engine.endo))
-    for k in range(1, width + 1):
+    for k in range(1, min(max_conjuncts, len(engine.endo)) + 1):
         for combo in itertools.combinations(engine.endo, k):
             cause = CandidateCause(tuple(Prim(v, engine.actual[v])
                                          for v in combo))
-            if exclude_self and _self_entailed(engine, cause):
+            if exclude_self and entails(engine.domains, cause.as_formula(),
+                                        effect):
                 continue
-            verdict = _actual_verdict(engine, cause, variant)
-            if verdict.overall:
+            if _verdict(engine, cause, variant, stats=stats).overall:
                 found.append(cause)
     return found
 
@@ -507,25 +533,27 @@ def active_processes(model: CausalModel | ExtendedCausalModel,
                      context: Mapping[str, Value], cause: CandidateCause,
                      effect: Formula, *,
                      variant: DefinitionVariant = DefinitionVariant.UPDATED,
-                     max_vars: int = DEFAULT_MAX_VARS) -> list[tuple[str, ...]]:
+                     max_vars: int = DEFAULT_MAX_VARS,
+                     stats: SearchStats | None = None,
+                     ) -> list[tuple[str, ...]]:
     """Inclusion-minimal process sets Z whose complement admits a witness.
 
-    Raises NoCause when no split works at all (AC2 fails outright).
+    Raises NoCause when no split works at all (AC2 fails outright).  The
+    search counts are added into ``stats`` when it is given.
     """
     engine = _Engine(model, context, effect, cause, max_vars=max_vars)
-    stats = SearchStats()
+    stats = stats or SearchStats()
     if not engine.ac1(cause):
         raise NoCause(f"{cause} or the effect fails to hold in the actual world")
-    free = tuple(v for v in engine.endo if v not in set(cause.vars))
+    free = tuple(v for v in engine.endo if v not in cause.vars)
     admitting: list[tuple[str, ...]] = []
     for k in range(len(free) + 1):
         for extra in itertools.combinations(free, k):
-            z_set = tuple(v for v in engine.endo
-                          if v in set(cause.vars) or v in set(extra))
-            w_set = tuple(v for v in free if v not in set(extra))
+            w_set = tuple(v for v in free if v not in extra)
             if engine.first_witness(cause, variant, stats,
                                     fixed_w=w_set) is not None:
-                admitting.append(z_set)
+                admitting.append(tuple(v for v in engine.endo
+                                       if v not in w_set))
     if not admitting:
         raise NoCause(f"{cause} admits no witness against the effect")
     minimal = [z for z in admitting
@@ -555,11 +583,10 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
     if mode == "consequent":
         if effect_alternative is None:
             raise NotContrastive("consequent contrast needs an alternative outcome")
-        ranges = {v: engine.domain(v) for v in engine.endo}
-        if satisfiable_together(ranges, query.effect, effect_alternative):
+        if satisfiable_together(engine.domains, query.effect, effect_alternative):
             raise NotContrastive(
                 "the contrasted outcomes are jointly satisfiable")
-        return _actual_verdict(engine, cause, variant)
+        return _verdict(engine, cause, variant)
 
     if mode not in ("antecedent_strong", "antecedent_weak"):
         raise NotContrastive(f"unknown contrast mode {mode!r}")
@@ -574,7 +601,7 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
         raise OutOfRangeValue(
             f"alternative value {value_alternative!r} outside domain of {xvar}")
 
-    base = _actual_verdict(engine, cause, variant, query.exclude_self)
+    base = _verdict(engine, cause, variant, query.exclude_self)
     if not base.overall:
         return base
     if mode == "antecedent_strong":

@@ -13,6 +13,7 @@ boundary rather than through wrapper classes.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -241,9 +242,7 @@ def _verify_mechanism(signature: Signature, mech: Mechanism,
                       totality_bound: int) -> tuple[Mechanism, bool]:
     """Check totality and range; returns (normalised mechanism, verified)."""
     dep_domains = [signature.domain_of(d).values for d in mech.deps]
-    size = 1
-    for values in dep_domains:
-        size *= len(values)
+    size = math.prod(len(values) for values in dep_domains)
     target_domain = signature.domain_of(mech.target)
 
     if mech.table is not None:
@@ -422,12 +421,6 @@ def solve(model: CausalModel, context: Mapping[str, Value],
     _check_context(model, context)
     intervention = intervention or {}
     _check_intervention(model, intervention)
-    return _solve(model, context, intervention)
-
-
-def _solve(model: CausalModel, context: Mapping[str, Value],
-           intervention: Mapping[str, Value]) -> Assignment:
-    """solve's loop, for inputs already checked against a recursive model."""
     env: dict[str, Value] = dict(context)
     for name in model.order:
         env[name] = (intervention[name] if name in intervention
@@ -445,24 +438,20 @@ def solve_all(model: CausalModel, context: Mapping[str, Value],
     endogenous variables in declaration order.
     """
     _check_context(model, context)
-    if intervention:
-        _check_intervention(model, intervention)
     intervention = intervention or {}
+    _check_intervention(model, intervention)
 
     endo = model.endogenous
     columns = [(model.domain_of(v).values if v not in intervention
                 else (intervention[v],)) for v in endo]
-    total = 1
-    for col in columns:
-        total *= len(col)
+    total = math.prod(len(col) for col in columns)
     if total > cap:
         raise SearchSpaceTooLarge(
             f"{total} candidate assignments exceed the cap of {cap}")
 
     free = [v for v in endo if v not in intervention]
     solutions: list[Assignment] = []
-    base_env = dict(context)
-    base_env.update(intervention)
+    base_env = {**context, **intervention}
     for combo in itertools.product(*columns):
         env = dict(base_env)
         env.update(zip(endo, combo))
@@ -481,8 +470,7 @@ def check_fixed_point(model: CausalModel, context: Mapping[str, Value],
         if assignment[name] not in model.domain_of(name):
             raise OutOfRangeValue(
                 f"assignment value {assignment[name]!r} outside domain of {name}")
-    env = dict(context)
-    env.update({v: assignment[v] for v in model.endogenous})
+    env = {**context, **{v: assignment[v] for v in model.endogenous}}
     return all(model.mechanisms[v].value_at(env) == env[v]
                for v in model.endogenous)
 

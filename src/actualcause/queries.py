@@ -60,24 +60,28 @@ def run_query(loaded: LoadedModel, doc: QueryDocument, *,
                             witnesses=[verdict.witness] if verdict.witness else [],
                             stats=verdict.stats)
 
+    stats = SearchStats()
     if doc.kind == "causes":
         causes = enumerate_causes(model, context, doc.effect,
                                   variant=doc.variant,
                                   max_conjuncts=doc.max_conjuncts,
                                   exclude_self=doc.exclude_self,
-                                  max_vars=max_vars)
-        return QueryOutcome("causes", bool(causes), causes=causes)
+                                  max_vars=max_vars, stats=stats)
+        return QueryOutcome("causes", bool(causes), causes=causes, stats=stats)
 
     if doc.kind == "witnesses":
         query = CauseQuery(model, context, doc.cause, doc.effect,
                            variant=doc.variant, max_vars=max_vars)
-        witnesses = enumerate_witnesses(query)
-        return QueryOutcome("witnesses", bool(witnesses), witnesses=witnesses)
+        witnesses = enumerate_witnesses(query, stats=stats)
+        return QueryOutcome("witnesses", bool(witnesses), witnesses=witnesses,
+                            stats=stats)
 
     if doc.kind == "process":
         processes = active_processes(model, context, doc.cause, doc.effect,
-                                     variant=doc.variant, max_vars=max_vars)
-        return QueryOutcome("process", bool(processes), processes=processes)
+                                     variant=doc.variant, max_vars=max_vars,
+                                     stats=stats)
+        return QueryOutcome("process", bool(processes), processes=processes,
+                            stats=stats)
 
     if doc.kind == "eval":
         value = eval_formula(loaded.model, context, doc.formula)

@@ -36,6 +36,24 @@ def random_recursive_model(seed: int, max_vars: int = 4):
     return build_model(signature, mechanisms, name=f"recursive_{seed}")
 
 
+def mixed_domain_model(seed: int):
+    """Seeded random acyclic model of 3 or 4 variables, each binary or
+    3-valued with equal odds, behind one binary context input."""
+    rng = random.Random(31_000 + seed)
+    endo = tuple(f"V{i}" for i in range(rng.randint(3, 4)))
+    ranges = {"U": Domain((0, 1))}
+    ranges.update({v: Domain((0, 1, 2) if rng.random() < 0.5 else (0, 1))
+                   for v in endo})
+    mechanisms = []
+    for i, var in enumerate(endo):
+        deps = tuple(d for d in ("U", *endo[:i]) if rng.random() < 0.6)
+        rows = itertools.product(*(ranges[d].values for d in deps))
+        table = {key: rng.choice(ranges[var].values) for key in rows}
+        mechanisms.append(Mechanism.from_table(var, deps, table))
+    return build_model(Signature(("U",), endo, ranges), mechanisms,
+                       name=f"mixed_{seed}")
+
+
 def random_any_model(seed: int, max_vars: int = 3):
     """Seeded random model whose dependencies may form cycles."""
     rng = random.Random(10_000 + seed)

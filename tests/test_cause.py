@@ -1,30 +1,40 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from actualcause import (
     CauseQuery,
     DefinitionVariant,
+    Domain,
     ExtendedCausalModel,
+    Mechanism,
+    Or,
+    Signature,
     active_processes,
+    build_model,
     cause_of,
     classify_contributory,
+    conj,
     contrastive_cause,
     descendants,
     disj,
     enumerate_causes,
     enumerate_witnesses,
+    eval_event,
     is_actual_cause,
     is_strong_cause,
     is_weak_cause,
     p,
     solve,
 )
+from actualcause.cause import SearchStats, _Engine
 from actualcause.errors import (
     DisallowedActualWorld,
     EffectNotActual,
+    MissingMechanism,
     NoCause,
     NotContrastive,
     OutOfRangeValue,
@@ -32,7 +42,7 @@ from actualcause.errors import (
     UnknownVariable,
 )
 from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
-from conftest import random_recursive_model
+from conftest import mixed_domain_model, random_recursive_model
 
 
 def ctx(corpus, key, name):
@@ -188,6 +198,27 @@ class TestWitnessEnumeration:
         assert first == enumerate_witnesses(query)
         sizes = [len(w.w_set) for w in first]
         assert sizes == sorted(sizes)
+
+    def test_shared_parts_keep_their_value_types(self):
+        """Witness parts are shared across queries; 1 == True must not let
+        one model's values stand in for another's."""
+        def disjunction(values):
+            ranges = {v: Domain(values) for v in ("U", "A", "B", "E")}
+            return build_model(Signature(("U",), ("A", "B", "E"), ranges), [
+                Mechanism.from_table("A", ("U",), {(x,): x for x in values}),
+                Mechanism.from_table("B", ("U",), {(x,): x for x in values}),
+                Mechanism.from_table("E", ("A", "B"), {
+                    (a, b): max(a, b) for a in values for b in values}),
+            ])
+        for values in ((0, 1), (False, True)):
+            one = values[1]
+            witnesses = enumerate_witnesses(CauseQuery(
+                disjunction(values), {"U": one}, cause_of(p("A", one)),
+                p("E", one)))
+            assert witnesses
+            for w in witnesses:
+                parts = w.x_prime + w.w_prime + tuple(x for _, x in w.z_star)
+                assert {type(x) for x in parts} == {type(one)}
 
 
 class TestCauseEnumeration:
@@ -457,3 +488,178 @@ class TestOracleAgreementSample:
                         slow = weak_cause_bruteforce(model, context, events,
                                                      effect)
                         assert (fast.ac1 and fast.ac2) == slow
+
+
+def probes_match_solve(model, context, effect, allowable=None, allow=None,
+                       defeat=None) -> int:
+    """Check probe() against public solve on every key that clamps at most
+    two variables; returns the number of keys checked."""
+    target = model if allowable is None else ExtendedCausalModel(model,
+                                                                 allowable)
+    engine = _Engine(target, context, effect, defeat=defeat)
+    checked = 0
+    for k in range(3):
+        for names in itertools.combinations(model.endogenous, k):
+            domains = [model.domain_of(v).values for v in names]
+            for values in itertools.product(*domains):
+                clamps = dict(zip(names, values))
+                sol = solve(model, context, clamps)
+                holds = eval_event(sol, effect)
+                goal = not holds if defeat is None else eval_event(sol, defeat)
+                expected = (holds, goal, allow is None or allow(sol))
+                assert engine.probe(engine.key(clamps.items())) == expected
+                checked += 1
+    return checked
+
+
+class TestProbeKernel:
+    """probe() reads each scenario off a kernel compiled over the relevance
+    cone; it must agree with public solve and eval_event everywhere."""
+
+    def test_mixed_domain_models_in_four_forms(self):
+        checked = 0
+        for seed in range(12):
+            model = mixed_domain_model(seed)
+            endo = model.endogenous
+            rng = random.Random(500 + seed)
+            worlds = [solve(model, {"U": u}) for u in (0, 1)]
+            settings = itertools.product(
+                *(model.domain_of(v).values for v in endo))
+            actuals = [tuple(w[v] for v in endo) for w in worlds]
+            pool = frozenset(s for s in settings
+                             if s in actuals or rng.random() < 0.6)
+            # The allow formula reads the last variable, which lies outside
+            # the cone of an effect on V1 unless V1's mechanism reads it.
+            last = endo[-1]
+            formula = Or(tuple(p(last, w[last]) for w in worlds)
+                         + (p("V0", rng.choice(model.domain_of("V0").values)),))
+
+            def in_pool(a, pool=pool):
+                return tuple(a[v] for v in endo) in pool
+
+            forms = [(None, None), (formula, lambda a: eval_event(a, formula)),
+                     (pool, in_pool), (in_pool, in_pool)]
+            for u, (allowable, allow) in itertools.product((0, 1), forms):
+                actual = worlds[u]
+                other = next(v for v in model.domain_of("V1").values
+                             if v != actual["V1"])
+                for effect, defeat in (
+                        (p("V1", actual["V1"]), None),
+                        (p("V1", actual["V1"]), p("V1", other)),
+                        (conj(p("V0", actual["V0"]), p(last, actual[last])),
+                         None)):
+                    checked += probes_match_solve(model, {"U": u}, effect,
+                                                  allowable, allow, defeat)
+        assert checked > 5000
+
+    def test_unverified_function_mechanism(self):
+        names = tuple(f"B{i}" for i in range(21))
+        ranges = {n: Domain((0, 1)) for n in names}
+        ranges.update({v: Domain((0, 1)) for v in ("X", "Y", "Z")})
+        model = build_model(Signature(names, ("X", "Y", "Z"), ranges), [
+            Mechanism.from_function("X", names, lambda env: max(env.values())),
+            Mechanism.from_function("Y", ("X", "B0"),
+                                    lambda env: env["X"] ^ env["B0"]),
+            Mechanism.from_table("Z", ("Y",), {(0,): 1, (1,): 0}),
+        ])
+        assert model.unverified_totality == ("X",)
+        context = {n: int(n in ("B0", "B7")) for n in names}
+        for effect in (p("Z", 1), p("Y", 0), p("X", 1)):
+            assert probes_match_solve(model, context, effect) == 19
+
+    def test_missing_row_in_the_cone_still_raises(self):
+        ranges = {v: Domain((0, 1)) for v in ("U", "X", "Y", "S")}
+        model = build_model(Signature(("U",), ("X", "Y", "S"), ranges), [
+            Mechanism.from_table("X", ("U",), {(0,): 0, (1,): 1}),
+            Mechanism.from_table("Y", ("X",), {(0,): 0}),
+            Mechanism.from_table("S", ("X",), {(0,): 1}),
+        ], verify=False)
+        context = {"U": 0}
+        with pytest.raises(MissingMechanism) as solved:
+            solve(model, context, {"X": 1})
+        engine = _Engine(model, context, p("Y", 0))
+        with pytest.raises(MissingMechanism) as probed:
+            engine.probe(engine.key([("X", 1)]))
+        assert str(probed.value) == str(solved.value)
+        # S lies outside the cone of Y, so its missing row is never read.
+        engine = _Engine(model, context, p("Y", 0))
+        assert engine.probe(engine.key([("X", 1), ("Y", 1)])) == (
+            False, True, True)
+
+
+def window_model(seed: int, n: int):
+    """Binary variables V0..; V0 reads U, every later variable reads one to
+    three of the three variables before it (the benchmark's onpath family)."""
+    rng = random.Random(seed)
+    endo = tuple(f"V{i}" for i in range(n))
+    mechanisms = []
+    for i, var in enumerate(endo):
+        pool = ["U"] if i == 0 else list(endo[max(0, i - 3):i])
+        deps = tuple(sorted(rng.sample(pool, rng.randint(1, len(pool))),
+                            key=pool.index))
+        table = {key: rng.randint(0, 1)
+                 for key in itertools.product((0, 1), repeat=len(deps))}
+        mechanisms.append(Mechanism.from_table(var, deps, table))
+    ranges = {v: Domain((0, 1)) for v in ("U", *endo)}
+    return build_model(Signature(("U",), endo, ranges), mechanisms)
+
+
+class TestSearchCounters:
+    """The clause (b) memo skips probes, never settings: the counters keep
+    the values they had before it."""
+
+    # (seed, cause variables) -> (overall, partitions, settings) per variant
+    WINDOW = {
+        (1, ("V1",)): {"updated": (False, 64, 729), "legacy": (False, 64, 729),
+                       "strong": (False, 64, 729)},
+        (1, ("V2",)): {"updated": (False, 64, 729), "legacy": (True, 10, 23),
+                       "strong": (False, 64, 729)},
+        (1, ("V1", "V2")): {"updated": (False, 32, 729),
+                            "legacy": (False, 82, 803),
+                            "strong": (False, 32, 243)},
+        (3, ("V1",)): {"updated": (True, 3, 4), "legacy": (True, 3, 4),
+                       "strong": (True, 3, 4)},
+        (3, ("V1", "V2")): {"updated": (False, 4, 5), "legacy": (False, 4, 5),
+                            "strong": (False, 4, 5)},
+        (8, ("V2",)): {"updated": (False, 64, 729), "legacy": (False, 64, 729),
+                       "strong": (False, 64, 729)},
+        (8, ("V1", "V2")): {"updated": (False, 2, 3), "legacy": (False, 2, 3),
+                            "strong": (False, 32, 243)},
+    }
+
+    def test_window_models(self):
+        for (seed, xs), expected in self.WINDOW.items():
+            model = window_model(seed, 7)
+            actual = solve(model, {"U": 0})
+            for variant, counts in expected.items():
+                verdict = is_actual_cause(CauseQuery(
+                    model, {"U": 0}, cause_of(*(p(x, actual[x]) for x in xs)),
+                    p("V6", actual["V6"]), variant=DefinitionVariant(variant)))
+                stats = verdict.stats
+                assert (verdict.overall, stats.partitions_examined,
+                        stats.settings_examined) == counts, (seed, xs, variant)
+
+    @pytest.mark.parametrize("variant, cause, counts", [
+        ("legacy", "BT", (False, 16, 81)), ("legacy", "SH", (True, 3, 4)),
+        ("strong", "BT", (False, 16, 81)), ("strong", "SH", (True, 3, 4)),
+    ])
+    def test_rock_refined(self, corpus, variant, cause, counts):
+        model, u = ctx(corpus, "rock_refined", "both")
+        verdict = is_actual_cause(CauseQuery(
+            model, u, cause_of(p(cause, 1)), p("BS", 1),
+            variant=DefinitionVariant(variant)))
+        stats = verdict.stats
+        assert (verdict.overall, stats.partitions_examined,
+                stats.settings_examined) == counts
+
+    def test_enumerations_add_into_given_stats(self, corpus):
+        model, u = ctx(corpus, "rock_refined", "both")
+        query = CauseQuery(model, u, cause_of(p("ST", 1)), p("BS", 1))
+        for run in (lambda s: enumerate_causes(model, u, p("BS", 1), stats=s),
+                    lambda s: enumerate_witnesses(query, stats=s),
+                    lambda s: active_processes(model, u, query.cause,
+                                               query.effect, stats=s)):
+            stats = SearchStats(partitions_examined=1)
+            run(stats)
+            assert stats.partitions_examined > 1
+            assert stats.settings_examined > 0

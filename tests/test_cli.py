@@ -107,6 +107,16 @@ class TestJson:
         assert "TT=0" in payload["causes"]
         assert "MT=1" not in payload["causes"]
 
+    def test_enumerating_commands_report_their_search(self, capsys):
+        model = corpus_path("rock_refined")
+        for argv in (("causes", model, "--effect", "BS=1"),
+                     ("witnesses", model, "--cause", "ST=1", "--effect", "BS=1"),
+                     ("process", model, "--cause", "ST=1", "--effect", "BS=1")):
+            _, out, _ = run(capsys, *argv, "--context", "both", "--json")
+            stats = json.loads(out)["stats"]
+            assert stats["partitions_examined"] > 0, argv[0]
+            assert stats["settings_examined"] > 0, argv[0]
+
     def test_text_and_json_verdicts_agree_on_every_bundled_query(self, capsys):
         from actualcause.corpus import all_golden_rows
         from actualcause.dsl import formula_text, parse_query

@@ -16,10 +16,13 @@ from actualcause import (
     Mechanism,
     Signature,
     Domain,
+    Or,
     build_model,
     cause_of,
+    conj,
     enumerate_causes,
     enumerate_witnesses,
+    eval_event,
     is_actual_cause,
     is_weak_cause,
     load_model,
@@ -31,7 +34,7 @@ from actualcause.dsl import parse_query
 from actualcause.errors import DisallowedActualWorld
 from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
 from actualcause.queries import run_query
-from conftest import random_recursive_model
+from conftest import mixed_domain_model, random_recursive_model
 
 
 class TestLegacyVariantAudit:
@@ -57,24 +60,6 @@ class TestLegacyVariantAudit:
                                 model, context, events, effect):
                             differs += 1
         assert differs > 0  # the family does exercise the difference
-
-
-def mixed_domain_model(seed: int):
-    """Seeded random acyclic model of 3 or 4 variables, each binary or
-    3-valued with equal odds, behind one binary context input."""
-    rng = random.Random(31_000 + seed)
-    endo = tuple(f"V{i}" for i in range(rng.randint(3, 4)))
-    ranges = {"U": Domain((0, 1))}
-    ranges.update({v: Domain((0, 1, 2) if rng.random() < 0.5 else (0, 1))
-                   for v in endo})
-    mechanisms = []
-    for i, var in enumerate(endo):
-        deps = tuple(d for d in ("U", *endo[:i]) if rng.random() < 0.6)
-        rows = itertools.product(*(ranges[d].values for d in deps))
-        table = {key: rng.choice(ranges[var].values) for key in rows}
-        mechanisms.append(Mechanism.from_table(var, deps, table))
-    return build_model(Signature(("U",), endo, ranges), mechanisms,
-                       name=f"mixed_{seed}")
 
 
 class TestMixedDomainAudit:
@@ -135,6 +120,50 @@ class TestExtendedModeAudit:
                         assert (fast.ac1 and fast.ac2) == slow
                         checked += 1
         assert checked > 400
+
+    def test_allow_formulas_beyond_the_effects_ancestors(self):
+        """Allow formulas over the effect's descendants and siblings, which
+        widen the probe kernel's cone past the effect's ancestors, and effects
+        over two variables, under both AC2(b) readings."""
+        checked = changed = 0
+        for seed in range(30):
+            model = mixed_domain_model(seed)
+            endo = model.endogenous
+            rng = random.Random(9_000 + seed)
+            ancestors = {v: {v} for v in endo}
+            for v in endo:  # declaration order is topological here
+                for d in model.parents[v]:
+                    ancestors[v] |= ancestors.get(d, set())
+            for context in ({"U": 0}, {"U": 1}):
+                actual = solve(model, context)
+                effects = [(y,) for y in endo] + list(
+                    itertools.combinations(endo, 2))
+                for ys in effects:
+                    outside = [v for v in endo
+                               if not any(v in ancestors[y] for y in ys)]
+                    if not outside:
+                        continue
+                    a, b = rng.choice(outside), rng.choice(outside)
+                    formula = Or((p(a, actual[a]), p(b, rng.choice(
+                        model.domain_of(b).values))))
+                    extended = ExtendedCausalModel(model, formula)
+                    effect = conj(*(p(y, actual[y]) for y in ys))
+                    for x in endo:
+                        events = (p(x, actual[x]),)
+                        for legacy in (False, True):
+                            variant = (DefinitionVariant.LEGACY if legacy
+                                       else DefinitionVariant.UPDATED)
+                            fast = is_actual_cause(CauseQuery(
+                                extended, context, cause_of(*events), effect,
+                                variant=variant)).overall
+                            assert fast == actual_cause_bruteforce(
+                                model, context, events, effect, legacy=legacy,
+                                allow=lambda w: eval_event(w, formula))
+                            changed += fast != is_actual_cause(CauseQuery(
+                                model, context, cause_of(*events), effect,
+                                variant=variant)).overall
+                            checked += 1
+        assert checked > 1000 and changed > 20
 
 
 class TestStrongEnumeration:
