@@ -151,7 +151,6 @@ class CauseQuery:
     effect: Formula
     variant: DefinitionVariant = DefinitionVariant.UPDATED
     exclude_self: bool = False
-    max_conjuncts: int | None = None
     max_vars: int = DEFAULT_MAX_VARS
 
 
@@ -188,7 +187,9 @@ class _Engine:
 
     A scenario clamps some endogenous variables; its key holds one slot per
     endogenous variable in declaration order, with the clamped value or
-    ``_FREE``.  Each scenario is solved at most once and its outcome memoised,
+    ``_FREE``.  The search makes each contingency set's clause (a) and
+    clause (b) keys from one product of per-slot columns, in domain-product
+    order.  Each scenario is solved at most once and its outcome memoised,
     which is what makes the subset quantifier in AC2(b) affordable: the same
     scenarios recur across candidate witnesses.  ``defeat`` replaces the
     effect's negation as the goal of clause (a) (used for contrastive
@@ -267,7 +268,7 @@ class _Engine:
     def key(self, clamps: Iterable[tuple[str, Value]],
             base: tuple | None = None) -> tuple:
         """Key of the scenario ``base`` (default: nothing clamped) with the
-        (var, value) ``clamps`` added."""
+        (var, value) ``clamps`` added, for one-off keys (not per setting)."""
         slots = list(self._unclamped if base is None else base)
         for var, value in clamps:
             slots[self.index[var]] = value
@@ -327,8 +328,9 @@ class _Engine:
 
     def _c_holds(self, held: tuple, w_set: tuple[str, ...]) -> bool:
         """Clause (c): X=x forces the effect no matter how W is set."""
-        for w_vals in itertools.product(*(self.domains[w] for w in w_set)):
-            holds, _, allowed = self.probe(self.key(zip(w_set, w_vals), held))
+        for key in itertools.product(*(self.domains[v] if v in w_set else (h,)
+                                       for v, h in zip(self.endo, held))):
+            holds, _, allowed = self.probe(key)
             if allowed and not holds:
                 return False
         return True
@@ -340,11 +342,12 @@ class _Engine:
                   ) -> Iterator[Witness]:
         """Yield AC2 witnesses in canonical order.
 
-        ``fixed_w`` restricts the search to one contingency set.
-        ``x_override`` substitutes the cause values used on the (b)/(c) side,
-        which implements the weak antecedent contrast.  A setting whose
-        clause (b) is already known to fail is counted as examined, but its
-        clause (a) probes are skipped.
+        ``fixed_w`` restricts the search to one contingency set, in
+        declaration order, which the column products follow (a W slot holds
+        its domain, any other slot one value).  ``x_override`` substitutes the
+        cause values used on the (b)/(c) side, which implements the weak
+        antecedent contrast.  A setting whose clause (b) is already known to
+        fail is counted as examined, but its clause (a) probes are skipped.
         """
         xvars = cause.vars
         held = self.key(zip(xvars, x_override if x_override is not None
@@ -353,65 +356,72 @@ class _Engine:
         legacy = variant is DefinitionVariant.LEGACY
         strong = variant is DefinitionVariant.STRONG
         memo = self._b_memo.setdefault((legacy, xvars), {})
+        # Clause (b) keys keep only the pins that fix the walk (see _b_holds).
+        pins = {v: tuple(x if legacy or x != self.actual[v] else _FREE
+                         for x in self.domains[v]) for v in free}
 
         w_choices = [fixed_w] if fixed_w is not None else (
             w_set for k in range(len(free) + 1)
             for w_set in itertools.combinations(free, k))
         if strong:
             # One pass per w': clause (a) tries every deviation at once.
-            deviations = [tuple(v for v in self.domains[x] if v != val)
-                          for x, val in zip(xvars, cause.values)]
-            if any(not d for d in deviations):
+            deviations = list(itertools.product(
+                *(tuple(v for v in self.domains[x] if v != val)
+                  for x, val in zip(xvars, cause.values))))
+            if not deviations:
                 return  # a single-valued cause variable admits no deviation
-            x_choices: list = [None]
+            n = len(self.endo)  # place(key + x_dev) lays x_dev over key
+            place = _row_getter(tuple(n + xvars.index(v) if v in xvars else i
+                                      for i, v in enumerate(self.endo)))
+            bases = [(None, self._unclamped)]
         else:
             # Clamping X at its actual value can never satisfy both (a) and
             # (b); skipping it is verdict-preserving.
-            x_choices = [x for x in itertools.product(
+            bases = [(x, self.key(zip(xvars, x))) for x in itertools.product(
                 *(self.domains[x] for x in xvars)) if x != cause.values]
         for w_set in w_choices:
             stats.partitions_examined += 1
             z_star = tuple(self.actual_pairs[v] for v in self.endo
                            if v not in w_set)
-            w_domains = [self.domains[w] for w in w_set]
-            for x_prime in x_choices:
-                base = (self._unclamped if strong
-                        else self.key(zip(xvars, x_prime)))
-                for w_prime in itertools.product(*w_domains):
+            pin_cols = [pins[v] if v in w_set else (h,)
+                        for v, h in zip(self.endo, held)]
+            c_ok = None  # clause (c), walked at most once per W
+            for x_prime, base in bases:
+                cols = [self.domains[v] if v in w_set else (b,)
+                        for v, b in zip(self.endo, base)]
+                for key, pinned in zip(itertools.product(*cols),
+                                       itertools.product(*pin_cols)):
                     stats.settings_examined += 1
-                    key = self.key(zip(w_set, w_prime), base)
-                    # The clause (b) key keeps only the W-pins that fix its
-                    # walk (see _b_holds).
-                    pinned = self.key(((w, v) for w, v in zip(w_set, w_prime)
-                                       if legacy or v != self.actual[w]), held)
                     ok = memo.get(pinned)  # None: not walked yet
                     if ok is False:
                         continue
-                    x_used = x_prime
                     if strong:
-                        x_used = self._all_deviations_defeat(key, xvars,
+                        x_used = self._all_deviations_defeat(key, place,
                                                              deviations)
                         reached = allowed = x_used is not None
                     else:
-                        _, reached, allowed = self.probe(key)
+                        x_used, (_, reached, allowed) = x_prime, self.probe(key)
                     if not (allowed and reached):
                         continue
                     if ok is None:
                         ok = memo[pinned] = self._b_holds(pinned, held, free,
                                                           legacy)
-                    if ok and (not strong or self._c_holds(held, w_set)):
+                    if ok and strong and c_ok is None:
+                        c_ok = self._c_holds(held, w_set)
+                    if ok and (not strong or c_ok):
+                        w_prime = tuple([key[self.index[w]] for w in w_set])
                         yield Witness(_part(w_set), _part(x_used),
                                       _part(w_prime), _part(z_star))
 
-    def _all_deviations_defeat(self, wkey: tuple, xvars: tuple[str, ...],
-                               deviations) -> tuple[Value, ...] | None:
+    def _all_deviations_defeat(self, wkey: tuple, place, deviations
+                               ) -> tuple[Value, ...] | None:
         """Strong clause (a): every full deviation of the cause tuple defeats
         the effect under the contingency; returns the first allowable
         deviation as the recorded x' (None if any fails or none is allowable).
         """
         first: tuple[Value, ...] | None = None
-        for x_dev in itertools.product(*deviations):
-            _, reached, allowed = self.probe(self.key(zip(xvars, x_dev), wkey))
+        for x_dev in deviations:
+            _, reached, allowed = self.probe(place(wkey + x_dev))
             if allowed and not reached:
                 return None
             if allowed and first is None:

@@ -260,6 +260,14 @@ class TestCauseEnumeration:
         with pytest.raises(EffectNotActual):
             enumerate_causes(model, u, p("BMC", 3))
 
+    def test_width_belongs_to_enumeration_not_to_a_query(self, corpus):
+        model, u = ctx(corpus, "rock_refined", "both")
+        with pytest.raises(TypeError):
+            CauseQuery(model, u, cause_of(p("ST", 1)), p("BS", 1),
+                       max_conjuncts=2)
+        got = enumerate_causes(model, u, p("BS", 1), max_conjuncts=2)
+        assert [str(c) for c in got] == ["ST=1", "SH=1", "BS=1"]
+
 
 class TestActiveProcesses:
     def test_rock_refined_process_matches_partitionwise_brute_force(self, corpus):
@@ -651,6 +659,109 @@ class TestSearchCounters:
         stats = verdict.stats
         assert (verdict.overall, stats.partitions_examined,
                 stats.settings_examined) == counts
+
+    # Search order on multi-valued domains, in context U=0 with effect V3 at
+    # its actual value.  mixed_domain_model(10): V0 binary, V1-V3 3-valued,
+    # actual V0=0, V1=0, V2=0, V3=2.  mixed_domain_model(52): V0, V1 binary,
+    # V2, V3 3-valued, actual V0=0, V1=0, V2=2, V3=2.  Listing the settings
+    # of a contingency set in any other order than the product of its
+    # domains in declaration order changes a list or a count below.
+    # (seed, cause variables, variant) -> ((partitions, settings), witnesses)
+    MIXED_WITNESSES = {
+        (10, ("V1",), "updated"): ((8, 96), [
+            "x'=1", "x'=2", "x'=1 V0=0", "x'=2 V0=0", "x'=1 V2=0",
+            "x'=2 V2=0", "x'=1 V0=0,V2=0", "x'=2 V0=0,V2=0"]),
+        (10, ("V1",), "legacy"): ((8, 96), [
+            "x'=1", "x'=2", "x'=1 V0=0", "x'=2 V0=0", "x'=1 V2=0",
+            "x'=2 V2=0", "x'=1 V0=0,V2=0", "x'=1 V0=1,V2=2",
+            "x'=2 V0=0,V2=0", "x'=2 V0=1,V2=2"]),
+        (10, ("V1",), "strong"): ((8, 48), ["x'=1", "x'=1 V0=0"]),
+        (10, ("V0", "V1"), "updated"): ((4, 80), [
+            "x'=0,1", "x'=0,2", "x'=1,1", "x'=1,2", "x'=0,1 V2=0",
+            "x'=0,2 V2=0", "x'=1,0 V2=0", "x'=1,1 V2=0", "x'=1,2 V2=0"]),
+        (10, ("V0", "V1"), "legacy"): ((4, 80), [
+            "x'=0,1", "x'=0,2", "x'=1,1", "x'=1,2", "x'=0,1 V2=0",
+            "x'=0,2 V2=0", "x'=1,0 V2=0", "x'=1,1 V2=0", "x'=1,2 V2=0"]),
+        (10, ("V0", "V1"), "strong"): ((4, 16), ["x'=1,1"]),
+        (52, ("V0",), "updated"): ((8, 48), ["x'=1 V1=0,V2=1"]),
+        (52, ("V0",), "legacy"): ((8, 48), ["x'=1 V1=0,V2=1",
+                                            "x'=1 V1=1,V2=0"]),
+        (52, ("V0",), "strong"): ((8, 48), []),
+        (52, ("V0", "V1"), "updated"): ((4, 48), ["x'=0,1 V2=1",
+                                                  "x'=1,0 V2=1"]),
+        (52, ("V0", "V1"), "legacy"): ((4, 48), ["x'=0,1 V2=1",
+                                                 "x'=1,0 V2=1"]),
+        (52, ("V0", "V1"), "strong"): ((4, 16), []),
+    }
+
+    # (seed, cause variables, variant) -> (process sets, partitions, settings)
+    MIXED_PROCESSES = {
+        (10, ("V1",), "updated"): ([("V1", "V3")], 8, 76),
+        (10, ("V1",), "legacy"): ([("V1", "V3")], 8, 76),
+        (10, ("V1",), "strong"): ([("V1", "V2", "V3")], 8, 47),
+        (10, ("V0", "V1"), "updated"): ([("V0", "V1", "V3")], 4, 62),
+        (10, ("V0", "V1"), "legacy"): ([("V0", "V1", "V3")], 4, 62),
+        (10, ("V0", "V1"), "strong"): ([("V0", "V1", "V2", "V3")], 4, 16),
+        (52, ("V0",), "updated"): ([("V0", "V3")], 8, 44),
+        (52, ("V0",), "legacy"): ([("V0", "V3")], 8, 44),
+        (52, ("V1",), "updated"): ([("V1", "V3")], 8, 43),
+        (52, ("V1",), "legacy"): ([("V1", "V3")], 8, 43),
+    }
+
+    # (seed, cause variable, variant, alternative value) ->
+    # (witness, overall, partitions, settings)
+    MIXED_WEAK_CONTRAST = {
+        (10, "V1", "updated", 1): ("x'=1", False, 9, 97),
+        (10, "V1", "updated", 2): ("x'=1", False, 9, 97),
+        (10, "V1", "legacy", 1): ("x'=1", True, 4, 13),
+        (10, "V1", "legacy", 2): ("x'=1", True, 4, 9),
+        (10, "V1", "strong", 1): ("x'=1", False, 9, 49),
+        (10, "V1", "strong", 2): ("x'=1", False, 9, 49),
+        (52, "V0", "updated", 1): ("x'=1 V1=0,V2=1", False, 13, 59),
+        (52, "V0", "legacy", 1): ("x'=1 V1=0,V2=1", False, 13, 59),
+    }
+
+    @staticmethod
+    def mixed_query(seed, xs, variant):
+        model = mixed_domain_model(seed)
+        actual = solve(model, {"U": 0})
+        return CauseQuery(model, {"U": 0},
+                          cause_of(*(p(x, actual[x]) for x in xs)),
+                          p("V3", actual["V3"]),
+                          variant=DefinitionVariant(variant))
+
+    @staticmethod
+    def witness_text(w):
+        pins = ",".join(f"{v}={x}" for v, x in zip(w.w_set, w.w_prime))
+        return "x'=" + ",".join(map(str, w.x_prime)) + (" " + pins if pins else "")
+
+    def test_mixed_domain_witness_order(self):
+        for case, (counts, expected) in self.MIXED_WITNESSES.items():
+            stats = SearchStats()
+            found = enumerate_witnesses(self.mixed_query(*case), stats=stats)
+            assert [self.witness_text(w) for w in found] == expected, case
+            assert (stats.partitions_examined,
+                    stats.settings_examined) == counts, case
+
+    def test_mixed_domain_processes(self):
+        for case, expected in self.MIXED_PROCESSES.items():
+            query, stats = self.mixed_query(*case), SearchStats()
+            processes = active_processes(
+                query.model, query.context, query.cause, query.effect,
+                variant=query.variant, stats=stats)
+            assert (processes, stats.partitions_examined,
+                    stats.settings_examined) == expected, case
+
+    def test_mixed_domain_weak_antecedent_contrast(self):
+        for (seed, x, variant, alt), expected in (
+                self.MIXED_WEAK_CONTRAST.items()):
+            verdict = contrastive_cause(
+                self.mixed_query(seed, (x,), variant), "antecedent_weak",
+                value_alternative=alt)
+            stats = verdict.stats
+            assert (self.witness_text(verdict.witness), verdict.overall,
+                    stats.partitions_examined,
+                    stats.settings_examined) == expected, (seed, variant, alt)
 
     def test_enumerations_add_into_given_stats(self, corpus):
         model, u = ctx(corpus, "rock_refined", "both")
