@@ -36,6 +36,7 @@ import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
+from types import CodeType, FunctionType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -49,9 +50,10 @@ from .errors import (
     UnknownVariable,
 )
 from .formula import (
+    And,
     Formula,
+    Not,
     Prim,
-    compile_event,
     conj,
     entails,
     eval_event,
@@ -175,8 +177,44 @@ def _part(part: tuple) -> tuple:
     return _PARTS.setdefault(repr(part), part)
 
 
+# Compiled probe kernels by source text.  A source holds only slot numbers and
+# generated names, so engines over models and formulas of the same shape share
+# one code object whatever their tables and values; emptied when full.
+_CODE: dict[str, CodeType] = {}
+_CODE_CAP = 1 << 8
+
+
+def _kernel(lines: list[str], namespace: dict) -> Callable[[tuple], tuple]:
+    source = "def probe(key):\n " + "\n ".join(lines)
+    code = _CODE.get(source)
+    if code is None:
+        if len(_CODE) >= _CODE_CAP:
+            _CODE.clear()
+        code = _CODE[source] = compile(source, "<probe>", "exec").co_consts[0]
+    return FunctionType(code, namespace)
+
+
+def _emit(formula: Formula, slot: Mapping[str, int], lines: list[str],
+          namespace: dict) -> str:
+    """Operand text of a validated event formula in a kernel: a leaf compares
+    its slot with a value bound in ``namespace``, and every connective gets
+    a line of its own, so that deep formulas stay flat."""
+    if isinstance(formula, Prim):
+        name = f"E{len(namespace)}"
+        namespace[name] = formula.value
+        return f"(s{slot[formula.var]} == {name})"
+    if isinstance(formula, Not):
+        text = "not " + _emit(formula.body, slot, lines, namespace)
+    else:
+        text = (" and " if isinstance(formula, And) else " or ").join(
+            [_emit(part, slot, lines, namespace) for part in formula.parts])
+    # An empty conjunction is true and an empty disjunction false.
+    lines.append(f"t{len(lines)} = {text or isinstance(formula, And)}")
+    return f"t{len(lines) - 1}"
+
+
 def _row_getter(at: tuple[int, ...]) -> Callable[[list], tuple]:
-    """Reader of one mechanism's table key off a slot list."""
+    """Reader of the items at ``at`` off a sequence, as one tuple."""
     return (itemgetter(*at) if len(at) > 1
             else lambda slots: tuple([slots[i] for i in at]))
 
@@ -193,10 +231,15 @@ class _Engine:
     which is what makes the subset quantifier in AC2(b) affordable: the same
     scenarios recur across candidate witnesses.  ``defeat`` replaces the
     effect's negation as the goal of clause (a) (used for contrastive
-    queries).  Probes run a kernel compiled here over the cone: the
+    queries).  ``probe(key)`` gives (effect holds, clause-(a) goal reached,
+    allowable): straight-line Python generated here over the cone, the
     endogenous ancestors-or-self of what the effect, the goal and an allow
-    formula read (every variable for an allowable set or predicate).  No
-    clamp outside it can change an outcome, so its variables are not solved.
+    formula read (every variable for an allowable set or predicate), since no
+    clamp outside it can change an outcome.  It unpacks the key into locals,
+    reads each unclamped cone variable off its table in topological order
+    (``value_at`` serves function rules and missing rows) and evaluates the
+    formulas one connective per line.  Its source names only slots and
+    bound globals, so engines of one shape share its code through ``_CODE``.
     """
 
     def __init__(self, model: CausalModel | ExtendedCausalModel,
@@ -235,16 +278,14 @@ class _Engine:
         self.actual = solve(model, self.context)
         self.domains = {v: model.domain_of(v).values for v in self.endo}
         self.actual_pairs = {v: _part((v, self.actual[v])) for v in self.endo}
+        self._actual_slots = list(enumerate(self.actual[v] for v in self.endo))
         self._unclamped = (_FREE,) * len(self.endo)
         self._cache: dict[tuple, tuple[bool, bool, bool]] = {}
         # Clause (b) verdicts per (legacy, cause variables) and pinned key.
         self._b_memo: dict[tuple, dict[tuple, bool]] = {}
 
-        # The kernel's slots hold the key's endogenous values, then the
-        # context; cone variables are solved in topological order.
-        self._names = self.endo + model.exogenous
-        self._context = [self.context[u] for u in model.exogenous]
-        slot = {v: i for i, v in enumerate(self._names)}
+        # The kernel: locals s<i> hold the key's endogenous slots, globals
+        # c<j> the context; cone variables are solved in topological order.
         todo = [v for f in reads for v in event_vars(f)]
         cone = set(self.endo) if whole else set()
         while todo:
@@ -252,15 +293,30 @@ class _Engine:
             if var not in cone:
                 cone.add(var)
                 todo.extend(d for d in model.parents[var] if d in self.index)
-        self._program = [
-            (slot[v], _row_getter(tuple(slot[d] for d in model.parents[v])),
-             model.mechanisms[v].table or {}, model.mechanisms[v].value_at)
-            for v in model.order if v in cone]
-        self._holds = compile_event(effect, self.index)
-        self._defeat = defeat and compile_event(defeat, self.index)
-        self._allowed = (
-            (lambda slots: allowable(dict(zip(self.endo, slots)))) if whole
-            else allowable and compile_event(allowable, self.index))
+        ns = {"F": _FREE, "OUT": _OUTCOMES, "CACHE": self._cache,
+              "GET": self._cache.get, "ENDO": self.endo, "A": allowable}
+        ref = {v: f"s{i}" for i, v in enumerate(self.endo)}
+        for j, u in enumerate(model.exogenous):
+            ref[u], ns[f"c{j}"] = f"c{j}", self.context[u]
+        slots = f"({''.join(ref[v] + ', ' for v in self.endo)})"
+        lines = ["r = GET(key)", "if r is not None:", " return r",
+                 f"{slots} = key"]
+        for v in (v for v in model.order if v in cone):
+            i, mech = self.index[v], model.mechanisms[v]
+            row = f"({''.join(ref[d] + ', ' for d in mech.deps)})"
+            ns[f"T{i}"], ns[f"V{i}"], ns[f"D{i}"] = (
+                mech.table or {}, mech.value_at, mech.deps)
+            # A function rule, or a missing row, which value_at reports.
+            lines += [f"if s{i} is F:", f" s{i} = T{i}.get({row}, F)",
+                      f" if s{i} is F:",
+                      f"  s{i} = V{i}(dict(zip(D{i}, {row})))"]
+        emit = lambda f: _emit(f, self.index, lines, ns)
+        lines.append(f"h = {emit(effect)}")
+        goal = "not h" if defeat is None else emit(defeat)
+        allow = ("True" if allowable is None else emit(allowable) if not whole
+                 else f"bool(A(dict(zip(ENDO, {slots}))))")
+        lines += [f"CACHE[key] = r = OUT[h, {goal}, {allow}]", "return r"]
+        self.probe = _kernel(lines, ns)
         if not self.probe(self._unclamped)[2]:
             raise DisallowedActualWorld(
                 "the solved actual world violates the allowable-settings rule")
@@ -274,29 +330,9 @@ class _Engine:
             slots[self.index[var]] = value
         return tuple(slots)
 
-    def probe(self, key: tuple) -> tuple[bool, bool, bool]:
-        """(effect holds, clause-(a) goal reached, allowable) for one
-        scenario."""
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        slots = [*key, *self._context]
-        for i, row_of, table, value_at in self._program:
-            if slots[i] is _FREE:
-                value = table.get(row_of(slots), _FREE)
-                # A function rule, or a missing row, which value_at reports.
-                slots[i] = (value if value is not _FREE else
-                            value_at(dict(zip(self._names, slots))))
-        holds = self._holds(slots)
-        outcome = (holds,
-                   not holds if self._defeat is None else self._defeat(slots),
-                   self._allowed is None or bool(self._allowed(slots)))
-        self._cache[key] = outcome = _OUTCOMES[outcome]
-        return outcome
-
     # -- AC2 clause machinery ------------------------------------------
 
-    def _b_holds(self, pinned: tuple, held: tuple, free: tuple[str, ...],
+    def _b_holds(self, pinned: tuple, held: tuple, free: tuple[int, ...],
                  legacy: bool) -> bool:
         """Clause (b): pinning any subset of W at w' and any subset of the
         process side at its actual values must keep the effect true.
@@ -310,23 +346,27 @@ class _Engine:
         Because every optional variable contributes exactly one pinned pair
         (contingency variables at w', process variables at their actuals),
         the pair (W', Z') ranges bijectively over subsets of one combined
-        option list in declaration order.  The quantifier is universal, so
-        the walk order is free; subsets are visited smallest-first, which
-        finds violations early.
+        option list of (slot, value) pairs over the ``free`` slots, in
+        declaration order.  The quantifier is universal, so the walk order is
+        free; subsets are visited smallest-first, which finds violations
+        early.
         """
         if legacy:
             held = pinned
-        options = [self.actual_pairs[v] if pinned[self.index[v]] is _FREE
-                   else (v, pinned[self.index[v]]) for v in free
-                   if not legacy or pinned[self.index[v]] is _FREE]
+        actual, probe = self._actual_slots, self.probe
+        options = [actual[i] if pinned[i] is _FREE else (i, pinned[i])
+                   for i in free if not legacy or pinned[i] is _FREE]
         for k in range(len(options) + 1):
             for combo in itertools.combinations(options, k):
-                holds, _, allowed = self.probe(self.key(combo, held))
+                slots = list(held)
+                for i, value in combo:
+                    slots[i] = value
+                holds, _, allowed = probe(tuple(slots))
                 if allowed and not holds:
                     return False
         return True
 
-    def _c_holds(self, held: tuple, w_set: tuple[str, ...]) -> bool:
+    def _c_holds(self, held: tuple, w_set: set[str]) -> bool:
         """Clause (c): X=x forces the effect no matter how W is set."""
         for key in itertools.product(*(self.domains[v] if v in w_set else (h,)
                                        for v, h in zip(self.endo, held))):
@@ -356,9 +396,11 @@ class _Engine:
         legacy = variant is DefinitionVariant.LEGACY
         strong = variant is DefinitionVariant.STRONG
         memo = self._b_memo.setdefault((legacy, xvars), {})
+        memo_get, probe, domains = memo.get, self.probe, self.domains
+        free_slots = tuple(self.index[v] for v in free)
         # Clause (b) keys keep only the pins that fix the walk (see _b_holds).
         pins = {v: tuple(x if legacy or x != self.actual[v] else _FREE
-                         for x in self.domains[v]) for v in free}
+                         for x in domains[v]) for v in free}
 
         w_choices = [fixed_w] if fixed_w is not None else (
             w_set for k in range(len(free) + 1)
@@ -366,7 +408,7 @@ class _Engine:
         if strong:
             # One pass per w': clause (a) tries every deviation at once.
             deviations = list(itertools.product(
-                *(tuple(v for v in self.domains[x] if v != val)
+                *(tuple(v for v in domains[x] if v != val)
                   for x, val in zip(xvars, cause.values))))
             if not deviations:
                 return  # a single-valued cause variable admits no deviation
@@ -378,21 +420,20 @@ class _Engine:
             # Clamping X at its actual value can never satisfy both (a) and
             # (b); skipping it is verdict-preserving.
             bases = [(x, self.key(zip(xvars, x))) for x in itertools.product(
-                *(self.domains[x] for x in xvars)) if x != cause.values]
+                *(domains[x] for x in xvars)) if x != cause.values]
         for w_set in w_choices:
             stats.partitions_examined += 1
-            z_star = tuple(self.actual_pairs[v] for v in self.endo
-                           if v not in w_set)
-            pin_cols = [pins[v] if v in w_set else (h,)
+            in_w = set(w_set)
+            pin_cols = [pins[v] if v in in_w else (h,)
                         for v, h in zip(self.endo, held)]
             c_ok = None  # clause (c), walked at most once per W
             for x_prime, base in bases:
-                cols = [self.domains[v] if v in w_set else (b,)
+                cols = [domains[v] if v in in_w else (b,)
                         for v, b in zip(self.endo, base)]
                 for key, pinned in zip(itertools.product(*cols),
                                        itertools.product(*pin_cols)):
                     stats.settings_examined += 1
-                    ok = memo.get(pinned)  # None: not walked yet
+                    ok = memo_get(pinned)  # None: not walked yet
                     if ok is False:
                         continue
                     if strong:
@@ -400,16 +441,18 @@ class _Engine:
                                                              deviations)
                         reached = allowed = x_used is not None
                     else:
-                        x_used, (_, reached, allowed) = x_prime, self.probe(key)
+                        x_used, (_, reached, allowed) = x_prime, probe(key)
                     if not (allowed and reached):
                         continue
                     if ok is None:
-                        ok = memo[pinned] = self._b_holds(pinned, held, free,
-                                                          legacy)
+                        ok = memo[pinned] = self._b_holds(pinned, held,
+                                                          free_slots, legacy)
                     if ok and strong and c_ok is None:
-                        c_ok = self._c_holds(held, w_set)
+                        c_ok = self._c_holds(held, in_w)
                     if ok and (not strong or c_ok):
                         w_prime = tuple([key[self.index[w]] for w in w_set])
+                        z_star = tuple([self.actual_pairs[v] for v in self.endo
+                                        if v not in in_w])
                         yield Witness(_part(w_set), _part(x_used),
                                       _part(w_prime), _part(z_star))
 
@@ -596,7 +639,7 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
         if satisfiable_together(engine.domains, query.effect, effect_alternative):
             raise NotContrastive(
                 "the contrasted outcomes are jointly satisfiable")
-        return _verdict(engine, cause, variant)
+        return _verdict(engine, cause, variant, query.exclude_self)
 
     if mode not in ("antecedent_strong", "antecedent_weak"):
         raise NotContrastive(f"unknown contrast mode {mode!r}")

@@ -158,16 +158,6 @@ def eval_event(assignment: Mapping[str, Value], formula: Formula) -> bool:
     raise UnknownVariable("intervention operators are not event formulas")
 
 
-def compile_event(formula: Formula, index: Mapping[str, int]) -> Callable:
-    """eval_event as a predicate over a slot list that holds each variable's
-    value at ``index[var]``; the formula must already be validated."""
-    if isinstance(formula, Prim):
-        i, value = index[formula.var], formula.value
-        return lambda slots: slots[i] == value
-    return lambda slots: _truth(
-        formula, lambda leaf: slots[index[leaf.var]] == leaf.value)
-
-
 def eval_formula(model: CausalModel, context: Mapping[str, Value],
                  formula: Formula) -> bool:
     """Truth of a counterfactual formula in a recursive model and context.

@@ -89,7 +89,8 @@ def run_query(loaded: LoadedModel, doc: QueryDocument, *,
 
     if doc.kind == "contrast":
         query = CauseQuery(model, context, doc.cause, doc.effect,
-                           variant=doc.variant, max_vars=max_vars)
+                           variant=doc.variant, exclude_self=doc.exclude_self,
+                           max_vars=max_vars)
         verdict = contrastive_cause(query, doc.contrast_mode,
                                     effect_alternative=doc.effect_alternative,
                                     value_alternative=doc.value_alternative)

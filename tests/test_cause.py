@@ -11,6 +11,7 @@ from actualcause import (
     Domain,
     ExtendedCausalModel,
     Mechanism,
+    Not,
     Or,
     Signature,
     active_processes,
@@ -31,6 +32,7 @@ from actualcause import (
     solve,
 )
 from actualcause.cause import SearchStats, _Engine
+from actualcause.dsl import parse_query
 from actualcause.errors import (
     DisallowedActualWorld,
     EffectNotActual,
@@ -593,6 +595,74 @@ class TestProbeKernel:
         engine = _Engine(model, context, p("Y", 0))
         assert engine.probe(engine.key([("X", 1), ("Y", 1)])) == (
             False, True, True)
+
+    def test_hostile_names_and_values(self):
+        """Names and values reach the kernel only as bound objects, never as
+        source text, so neither keywords and generated names nor quotes,
+        newlines, None and tuples change what a probe reports."""
+        for name in ('a"b', "line\nbreak", "__import__"):
+            with pytest.raises(UnknownVariable):
+                Signature((name,), ("X",), {})
+        u, a, b, c, d = "None", "s1", "F", "key", "lambda"
+        odd = ("x'); raise SystemExit #", '"""\n', (1, "2"), None)
+        ranges = {u: Domain((0, 1)), a: Domain(odd[:2]),
+                  b: Domain(odd[2:]), c: Domain((None, "None")),
+                  d: Domain(((), (None,)))}
+        model = build_model(Signature((u,), (a, b, c, d), ranges), [
+            Mechanism.from_table(a, (u,), {(0,): odd[0], (1,): odd[1]}),
+            Mechanism.from_table(b, (a, u), {
+                (x, y): odd[2 + ((x == odd[1]) ^ y)]
+                for x in odd[:2] for y in (0, 1)}),
+            Mechanism.from_function(c, (b,), lambda env: (
+                None if env[b] is None else "None")),
+            Mechanism.from_table(d, (c, a), {
+                (x, y): (None,) if x is None and y == odd[0] else ()
+                for x in (None, "None") for y in odd[:2]}),
+        ], verify=False)
+        checked = 0
+        for context in ({u: 0}, {u: 1}):
+            actual = solve(model, context)
+            allowed = Or((p(c, actual[c]), p(d, ())))
+            probe = _Engine(ExtendedCausalModel(model, allowed), context,
+                            p(a, odd[0]), defeat=p(b, odd[2])).probe
+            assert all(k is None or k is True
+                       for k in probe.__code__.co_consts)
+            for effect, defeat in ((p(d, actual[d]), None),
+                                   (conj(p(b, actual[b]), p(a, actual[a])),
+                                    p(c, "None")),
+                                   (Not(p(c, None)), None)):
+                checked += probes_match_solve(model, context, effect)
+                checked += probes_match_solve(
+                    model, context, effect, allowed,
+                    lambda w: eval_event(w, allowed), defeat)
+        assert checked == 12 * 33
+
+    def test_deep_formulas_keep_the_verdict(self, corpus):
+        """A 300-deep negation chain is too deep for one Python expression
+        and a 500-part disjunction too long to nest; both stay flat."""
+        loaded = corpus["rock_refined"].loaded
+        chain = "!" * 300 + "(BS=1)"
+        wide = " | ".join(["BH=1", "SH=1"] * 250)
+        for cause, effect, expected in (("ST", chain, True),
+                                        ("BT", chain, False),
+                                        ("ST", wide, True),
+                                        ("BT", wide, False)):
+            doc = parse_query(f"check cause {cause}=1 of {effect} "
+                              f"context both", loaded)
+            query = CauseQuery(loaded.model, loaded.context("both"),
+                               doc.cause, doc.effect)
+            assert is_actual_cause(query).overall is expected
+
+    def test_same_shape_models_share_code_but_not_tables(self):
+        first, second = window_model(18, 6), window_model(19, 6)
+        assert first.parents == second.parents
+        assert any(first.mechanisms[v].table != second.mechanisms[v].table
+                   for v in first.endogenous)
+        probes = [_Engine(m, {"U": 1}, p("V5", 1)).probe
+                  for m in (first, second)]
+        assert probes[0].__code__ is probes[1].__code__
+        for model in (first, second):
+            assert probes_match_solve(model, {"U": 1}, p("V5", 1)) == 73
 
 
 def window_model(seed: int, n: int):

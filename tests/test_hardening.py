@@ -20,6 +20,7 @@ from actualcause import (
     build_model,
     cause_of,
     conj,
+    contrastive_cause,
     enumerate_causes,
     enumerate_witnesses,
     eval_event,
@@ -256,6 +257,18 @@ class TestQueryRunnerKinds:
         outcome = run_query(loaded, parse_query(
             "contrast cause Mor=2 of F=1 rather 1 context spells", loaded))
         assert not outcome.verdict
+
+    def test_contrast_keeps_exclude_self(self, corpus):
+        loaded = corpus["rock_refined"].loaded
+        text = "contrast cause BS=1 of BS=1 rather 0 context both"
+        assert run_query(loaded, parse_query(text, loaded)).verdict
+        outcome = run_query(loaded, parse_query(text + " exclude_self",
+                                                loaded))
+        assert outcome.cause_verdict.self_entailed and not outcome.verdict
+        query = CauseQuery(loaded.model, loaded.context("both"),
+                           cause_of(p("BS", 1)), p("BS", 1), exclude_self=True)
+        assert not contrastive_cause(query, "consequent",
+                                     effect_alternative=p("BS", 0)).overall
 
     def test_witness_records_the_process_side_actuals(self, corpus):
         loaded = corpus["arson_disjunctive"].loaded
