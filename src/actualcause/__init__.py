@@ -13,6 +13,7 @@ from .cause import (
     CauseQuery,
     CauseVerdict,
     DefinitionVariant,
+    SearchStats,
     Witness,
     active_processes,
     cause_of,

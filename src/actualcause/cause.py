@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
+from math import prod
 from operator import itemgetter
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Iterator, Mapping
@@ -177,21 +178,26 @@ def _part(part: tuple) -> tuple:
     return _PARTS.setdefault(repr(part), part)
 
 
-# Compiled probe kernels by source text.  A source holds only slot numbers and
-# generated names, so engines over models and formulas of the same shape share
-# one code object whatever their tables and values; emptied when full.
-_CODE: dict[str, CodeType] = {}
+# Compiled probe kernels by source text, each beside its memo of relevant
+# clamps per clamp mask (see _Engine._relevant).  A source holds only slot
+# numbers and generated names, so engines over models and formulas of the same
+# shape share one code object and one memo whatever their tables and values;
+# emptied when full.
+_CODE: dict[str, tuple[CodeType, dict[int, int]]] = {}
 _CODE_CAP = 1 << 8
+_RELEVANCE_CAP = 1 << 12  # masks per kernel; a memo is emptied when full
 
 
-def _kernel(lines: list[str], namespace: dict) -> Callable[[tuple], tuple]:
+def _kernel(lines: list[str], namespace: dict
+            ) -> tuple[Callable[[tuple], tuple], dict[int, int]]:
     source = "def probe(key):\n " + "\n ".join(lines)
-    code = _CODE.get(source)
-    if code is None:
+    entry = _CODE.get(source)
+    if entry is None:
         if len(_CODE) >= _CODE_CAP:
             _CODE.clear()
-        code = _CODE[source] = compile(source, "<probe>", "exec").co_consts[0]
-    return FunctionType(code, namespace)
+        entry = _CODE[source] = (
+            compile(source, "<probe>", "exec").co_consts[0], {})
+    return FunctionType(entry[0], namespace), entry[1]
 
 
 def _emit(formula: Formula, slot: Mapping[str, int], lines: list[str],
@@ -213,6 +219,19 @@ def _emit(formula: Formula, slot: Mapping[str, int], lines: list[str],
     return f"t{len(lines) - 1}"
 
 
+def _nothing(_key: tuple) -> tuple:
+    return ()
+
+
+def _nth(columns: list[tuple], at: int) -> tuple:
+    """The item at index ``at`` of the product of ``columns``."""
+    picked = []
+    for column in reversed(columns):
+        at, j = divmod(at, len(column))
+        picked.append(column[j])
+    return tuple(picked[::-1])
+
+
 def _row_getter(at: tuple[int, ...]) -> Callable[[list], tuple]:
     """Reader of the items at ``at`` off a sequence, as one tuple."""
     return (itemgetter(*at) if len(at) > 1
@@ -226,10 +245,13 @@ class _Engine:
     A scenario clamps some endogenous variables; its key holds one slot per
     endogenous variable in declaration order, with the clamped value or
     ``_FREE``.  The search makes each contingency set's clause (a) and
-    clause (b) keys from one product of per-slot columns, in domain-product
-    order.  Each scenario is solved at most once and its outcome memoised,
-    which is what makes the subset quantifier in AC2(b) affordable: the same
-    scenarios recur across candidate witnesses.  ``defeat`` replaces the
+    clause (b) keys from products of per-slot columns, in domain-product
+    order.  Clause (a) runs over the clamps that can reach what a probe reads
+    (see _relevant), and clause (b) failures are learned as patterns over
+    their violating pins (see witnesses).  Each scenario is solved at most
+    once and its outcome memoised, which is what makes the subset quantifier
+    in AC2(b) affordable: the same scenarios recur across candidate
+    witnesses.  ``defeat`` replaces the
     effect's negation as the goal of clause (a) (used for contrastive
     queries).  ``probe(key)`` gives (effect holds, clause-(a) goal reached,
     allowable): straight-line Python generated here over the cone, the
@@ -277,16 +299,21 @@ class _Engine:
                     f"cause value {e.value!r} outside domain of {e.var}")
         self.actual = solve(model, self.context)
         self.domains = {v: model.domain_of(v).values for v in self.endo}
+        self._values = [self.domains[v] for v in self.endo]  # by slot
         self.actual_pairs = {v: _part((v, self.actual[v])) for v in self.endo}
         self._actual_slots = list(enumerate(self.actual[v] for v in self.endo))
         self._unclamped = (_FREE,) * len(self.endo)
         self._cache: dict[tuple, tuple[bool, bool, bool]] = {}
         # Clause (b) verdicts per (legacy, cause variables) and pinned key.
         self._b_memo: dict[tuple, dict[tuple, bool]] = {}
+        # Learned clause (b) violations per held key: the violating slots ->
+        # (their reader, the pinned values seen there), see witnesses.
+        self._learned: dict[tuple, dict[tuple, tuple]] = {}
 
         # The kernel: locals s<i> hold the key's endogenous slots, globals
         # c<j> the context; cone variables are solved in topological order.
         todo = [v for f in reads for v in event_vars(f)]
+        self._reads = self.endo if whole else set(todo)  # see _relevant
         cone = set(self.endo) if whole else set()
         while todo:
             var = todo.pop()
@@ -316,7 +343,7 @@ class _Engine:
         allow = ("True" if allowable is None else emit(allowable) if not whole
                  else f"bool(A(dict(zip(ENDO, {slots}))))")
         lines += [f"CACHE[key] = r = OUT[h, {goal}, {allow}]", "return r"]
-        self.probe = _kernel(lines, ns)
+        self.probe, self._relevance = _kernel(lines, ns)
         if not self.probe(self._unclamped)[2]:
             raise DisallowedActualWorld(
                 "the solved actual world violates the allowable-settings rule")
@@ -332,10 +359,37 @@ class _Engine:
 
     # -- AC2 clause machinery ------------------------------------------
 
+    def _relevant(self, mask: int) -> int:
+        """The clamps in ``mask`` (bit i: slot i clamped) whose values can
+        change a probe's triple: those that the effect, the goal or the allow
+        formula reads, and those with a child that reaches such a variable
+        through unclamped variables only.  Changing or freeing any other
+        (screened) clamp leaves every variable the kernel reads as it was.
+        The answer depends only on the kernel's source, so it is memoised per
+        mask beside the compiled code."""
+        rel = self._relevance.get(mask)
+        if rel is None:
+            index, parents = self.index, self.model.parents
+            reads = sum(1 << index[v] for v in self._reads)
+            live, rel = reads & ~mask, reads & mask
+            for var in reversed(self.model.order):  # children first
+                if live >> index[var] & 1:
+                    for dep in parents[var]:
+                        if dep in index:
+                            if mask >> index[dep] & 1:
+                                rel |= 1 << index[dep]
+                            else:
+                                live |= 1 << index[dep]
+            if len(self._relevance) >= _RELEVANCE_CAP:
+                self._relevance.clear()
+            self._relevance[mask] = rel
+        return rel
+
     def _b_holds(self, pinned: tuple, held: tuple, free: tuple[int, ...],
-                 legacy: bool) -> bool:
+                 legacy: bool) -> tuple[int, ...] | None:
         """Clause (b): pinning any subset of W at w' and any subset of the
-        process side at its actual values must keep the effect true.
+        process side at its actual values must keep the effect true.  Returns
+        None when it does, else the slots of the first violating subset.
 
         ``held`` clamps the cause variables to their actual values, so
         subsets of Z are taken over Z minus X; pinning a cause variable again
@@ -347,9 +401,12 @@ class _Engine:
         (contingency variables at w', process variables at their actuals),
         the pair (W', Z') ranges bijectively over subsets of one combined
         option list of (slot, value) pairs over the ``free`` slots, in
-        declaration order.  The quantifier is universal, so the walk order is
-        free; subsets are visited smallest-first, which finds violations
-        early.
+        declaration order.  So outside ``legacy``, ``pinned``'s values at the
+        violating slots (a w' pin, or ``_FREE`` for a pin at its actual value)
+        name the violating scenario, and every pinned key of the same
+        ``held`` that agrees with them there holds it in its own walk.  The
+        quantifier is universal, so the walk order is free; subsets are
+        visited smallest-first, which finds violations early.
         """
         if legacy:
             held = pinned
@@ -363,13 +420,14 @@ class _Engine:
                     slots[i] = value
                 holds, _, allowed = probe(tuple(slots))
                 if allowed and not holds:
-                    return False
-        return True
+                    return tuple([i for i, _ in combo])
+        return None
 
-    def _c_holds(self, held: tuple, w_set: set[str]) -> bool:
-        """Clause (c): X=x forces the effect no matter how W is set."""
-        for key in itertools.product(*(self.domains[v] if v in w_set else (h,)
-                                       for v, h in zip(self.endo, held))):
+    def _c_holds(self, held: tuple, w: tuple[int, ...]) -> bool:
+        """Clause (c): X=x forces the effect no matter how the slots ``w``
+        of W are set."""
+        for key in itertools.product(*(self._values[i] if i in w else (h,)
+                                       for i, h in enumerate(held))):
             holds, _, allowed = self.probe(key)
             if allowed and not holds:
                 return False
@@ -383,78 +441,172 @@ class _Engine:
         """Yield AC2 witnesses in canonical order.
 
         ``fixed_w`` restricts the search to one contingency set, in
-        declaration order, which the column products follow (a W slot holds
-        its domain, any other slot one value).  ``x_override`` substitutes the
-        cause values used on the (b)/(c) side, which implements the weak
-        antecedent contrast.  A setting whose clause (b) is already known to
-        fail is counted as examined, but its clause (a) probes are skipped.
+        declaration order.  ``x_override`` substitutes the cause values used
+        on the (b)/(c) side, which implements the weak antecedent contrast.
+
+        A block is one contingency set W and, outside ``strong``, one x';
+        its settings run in domain-product order and a setting's position is
+        its index in that order.  Clause (a) is probed once per setting of
+        W's relevant clamps (see _relevant), with the screened ones left
+        free: that is the key of the smaller set R of relevant clamps, which
+        an earlier block has mostly probed already.  Each passing setting
+        stands for a box of settings, one per value of the screened slots;
+        the boxes come in position order unless a screened slot precedes a
+        relevant one, and are then sorted by position.  Every setting of a
+        box then runs one body: the clause (b) memo, the learned patterns,
+        the walk, clause (c), and the yield.
+
+        Outside ``legacy`` a failed walk is learned as a pattern: its
+        violating slots and the pinned values there (see _b_holds).  A pinned
+        key that matches a pattern fails (b) without a walk, and a whole box
+        is dropped when a pattern that reads none of its screened slots
+        matches it.  ``legacy`` pins every W slot in its walk and keeps the
+        exact memo only.  ``settings_examined`` counts what a walk over every
+        setting would: a block adds its settings up to each yielded
+        witness's position, and the rest at its end.
         """
         xvars = cause.vars
         held = self.key(zip(xvars, x_override if x_override is not None
                             else cause.values))
-        free = tuple(v for v in self.endo if v not in xvars)
         legacy = variant is DefinitionVariant.LEGACY
         strong = variant is DefinitionVariant.STRONG
         memo = self._b_memo.setdefault((legacy, xvars), {})
-        memo_get, probe, domains = memo.get, self.probe, self.domains
-        free_slots = tuple(self.index[v] for v in free)
+        learned = {} if legacy else self._learned.setdefault(held, {})
+        endo, values, probe, memo_get = (self.endo, self._values, self.probe,
+                                         memo.get)
+        free = tuple(i for i, v in enumerate(endo) if v not in xvars)
         # Clause (b) keys keep only the pins that fix the walk (see _b_holds).
-        pins = {v: tuple(x if legacy or x != self.actual[v] else _FREE
-                         for x in domains[v]) for v in free}
+        pins = {i: tuple(x if legacy or x != self.actual[endo[i]] else _FREE
+                         for x in values[i]) for i in free}
+        held_cols = [(h,) for h in held]
+        bits = [1 << i for i in range(len(endo))]
+        sizes = [len(column) for column in values]
+        x_mask = sum(bits[self.index[x]] for x in xvars)
+        x_parts: dict[tuple, tuple] = {}
 
-        w_choices = [fixed_w] if fixed_w is not None else (
-            w_set for k in range(len(free) + 1)
-            for w_set in itertools.combinations(free, k))
+        w_choices = [tuple(self.index[v] for v in fixed_w)] if (
+            fixed_w is not None) else (
+            w for k in range(len(free) + 1)
+            for w in itertools.combinations(free, k))
         if strong:
             # One pass per w': clause (a) tries every deviation at once.
             deviations = list(itertools.product(
-                *(tuple(v for v in domains[x] if v != val)
+                *(tuple(v for v in self.domains[x] if v != val)
                   for x, val in zip(xvars, cause.values))))
             if not deviations:
                 return  # a single-valued cause variable admits no deviation
-            n = len(self.endo)  # place(key + x_dev) lays x_dev over key
+            n = len(endo)  # place(key + x_dev) lays x_dev over key
             place = _row_getter(tuple(n + xvars.index(v) if v in xvars else i
-                                      for i, v in enumerate(self.endo)))
-            bases = [(None, self._unclamped)]
+                                      for i, v in enumerate(endo)))
+            bases = [(None, [(_FREE,)] * n)]
         else:
             # Clamping X at its actual value can never satisfy both (a) and
             # (b); skipping it is verdict-preserving.
-            bases = [(x, self.key(zip(xvars, x))) for x in itertools.product(
-                *(domains[x] for x in xvars)) if x != cause.values]
-        for w_set in w_choices:
+            bases = [(x, [(b,) for b in self.key(zip(xvars, x))])
+                     for x in itertools.product(
+                         *(self.domains[x] for x in xvars))
+                     if x != cause.values]
+
+        def boxes(cols, rel_pins, spans, x_prime, screened):
+            """(position, x', pinned key) of each setting in one block's
+            boxes that pass clause (a) and that no box-wide pattern drops,
+            boxes in the order of their relevant parts.  ``spans`` holds the
+            offsets that each relevant slot's values add to a position, and
+            ``screened`` those of each screened slot."""
+            drops = [group for slots, group in learned.items()
+                     if screened.keys().isdisjoint(slots)]
+            offsets = None  # of the settings in a box, made once
+            for key, pinned, at in zip(
+                    itertools.product(*cols), itertools.product(*rel_pins),
+                    map(sum, itertools.product(*spans)) if screened
+                    else itertools.count()):
+                # A box of one setting meets the body's memo before its probe.
+                if (not screened and memo_get(pinned) is False) or (
+                        drops and any(get(pinned) in seen
+                                      for get, seen in drops)):
+                    continue
+                if strong:
+                    x_used = self._all_deviations_defeat(key, place,
+                                                         deviations)
+                else:
+                    _, reached, allowed = probe(key)
+                    x_used = x_prime if reached and allowed else None
+                if x_used is None:
+                    continue
+                if not screened:
+                    yield at, x_used, pinned
+                    continue
+                if offsets is None:
+                    offsets = list(map(sum, itertools.product(
+                        *screened.values())))
+                box = [(value,) for value in pinned]
+                for i in screened:
+                    box[i] = pins[i]
+                yield from zip(map(at.__add__, offsets),
+                               itertools.repeat(x_used),
+                               itertools.product(*box))
+
+        for w in w_choices:
             stats.partitions_examined += 1
-            in_w = set(w_set)
-            pin_cols = [pins[v] if v in in_w else (h,)
-                        for v, h in zip(self.endo, held)]
-            c_ok = None  # clause (c), walked at most once per W
-            for x_prime, base in bases:
-                cols = [domains[v] if v in in_w else (b,)
-                        for v, b in zip(self.endo, base)]
-                for key, pinned in zip(itertools.product(*cols),
-                                       itertools.product(*pin_cols)):
-                    stats.settings_examined += 1
-                    ok = memo_get(pinned)  # None: not walked yet
-                    if ok is False:
-                        continue
-                    if strong:
-                        x_used = self._all_deviations_defeat(key, place,
-                                                             deviations)
-                        reached = allowed = x_used is not None
+            w_mask = sum(map(bits.__getitem__, w))
+            rel = self._relevant(x_mask | w_mask)
+            some_screened = w_mask & ~rel
+            relevant = [i for i in w if rel >> i & 1] if some_screened else w
+            size = step = prod(map(sizes.__getitem__, w))
+            spans, screened = [], {}
+            if some_screened:
+                # Value j of a W slot adds j times the number of settings of
+                # the slots after it to the position.
+                for i in w:
+                    step //= sizes[i]
+                    span = range(0, sizes[i] * step, step)
+                    if rel >> i & 1:
+                        spans.append(span)
                     else:
-                        x_used, (_, reached, allowed) = x_prime, probe(key)
-                    if not (allowed and reached):
-                        continue
+                        screened[i] = span
+            rel_pins = held_cols.copy()
+            for i in relevant:
+                rel_pins[i] = pins[i]
+            c_ok = parts = None  # clause (c) and the W parts, once per W
+            for x_prime, base_cols in bases:
+                cols = base_cols.copy()
+                for i in relevant:
+                    cols[i] = values[i]
+                found = boxes(cols, rel_pins, spans, x_prime, screened)
+                if relevant and screened and min(screened) < relevant[-1]:
+                    found = sorted(found)  # positions are distinct
+                done = 0  # settings of this block already counted
+                for at, x_used, pinned in found:
+                    ok = memo_get(pinned)  # None: not walked yet
                     if ok is None:
-                        ok = memo[pinned] = self._b_holds(pinned, held,
-                                                          free_slots, legacy)
-                    if ok and strong and c_ok is None:
-                        c_ok = self._c_holds(held, in_w)
-                    if ok and (not strong or c_ok):
-                        w_prime = tuple([key[self.index[w]] for w in w_set])
-                        z_star = tuple([self.actual_pairs[v] for v in self.endo
-                                        if v not in in_w])
-                        yield Witness(_part(w_set), _part(x_used),
-                                      _part(w_prime), _part(z_star))
+                        if learned and any(get(pinned) in seen
+                                           for get, seen in learned.values()):
+                            continue
+                        bad = self._b_holds(pinned, held, free, legacy)
+                        ok = memo[pinned] = bad is None
+                        if not (ok or legacy):
+                            get, seen = learned.setdefault(bad, (
+                                itemgetter(*bad) if bad else _nothing, set()))
+                            seen.add(get(pinned))
+                    if not ok:
+                        continue
+                    if strong and c_ok is None:
+                        c_ok = self._c_holds(held, w)
+                    if strong and not c_ok:
+                        break
+                    stats.settings_examined += at + 1 - done
+                    done = at + 1
+                    if parts is None:
+                        parts = (_part(tuple([endo[i] for i in w])),
+                                 _part(tuple([self.actual_pairs[v]
+                                              for i, v in enumerate(endo)
+                                              if i not in w])))
+                    x_part = x_parts.get(x_used)
+                    if x_part is None:
+                        x_part = x_parts[x_used] = _part(x_used)
+                    w_prime = _nth([values[i] for i in w], at)
+                    yield Witness(parts[0], x_part, _part(w_prime), parts[1])
+                stats.settings_examined += size - done
 
     def _all_deviations_defeat(self, wkey: tuple, place, deviations
                                ) -> tuple[Value, ...] | None:

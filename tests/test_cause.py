@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import actualcause
 from actualcause import (
     CauseQuery,
     DefinitionVariant,
@@ -31,7 +32,7 @@ from actualcause import (
     p,
     solve,
 )
-from actualcause.cause import SearchStats, _Engine
+from actualcause.cause import _FREE, SearchStats, Witness, _Engine
 from actualcause.dsl import parse_query
 from actualcause.errors import (
     DisallowedActualWorld,
@@ -654,15 +655,24 @@ class TestProbeKernel:
             assert is_actual_cause(query).overall is expected
 
     def test_same_shape_models_share_code_but_not_tables(self):
+        """Two same-shape models share one code object and one relevance
+        memo, and each engine answers from its own tables."""
         first, second = window_model(18, 6), window_model(19, 6)
         assert first.parents == second.parents
         assert any(first.mechanisms[v].table != second.mechanisms[v].table
                    for v in first.endogenous)
-        probes = [_Engine(m, {"U": 1}, p("V5", 1)).probe
-                  for m in (first, second)]
-        assert probes[0].__code__ is probes[1].__code__
-        for model in (first, second):
+        engines = [_Engine(m, {"U": 1}, p("V5", 1)) for m in (first, second)]
+        assert engines[0].probe.__code__ is engines[1].probe.__code__
+        assert engines[0]._relevance is engines[1]._relevance
+        for model, engine in zip((first, second), engines):
             assert probes_match_solve(model, {"U": 1}, p("V5", 1)) == 73
+            actual = solve(model, {"U": 1})
+            for x in model.endogenous[:-1]:
+                for variant in DefinitionVariant:
+                    (new, new_stats), (ref, ref_stats) = run_both(
+                        engine, cause_of(p(x, actual[x])), variant, None,
+                        None, False)
+                    assert (new, new_stats) == (ref, ref_stats)
 
 
 def window_model(seed: int, n: int):
@@ -683,8 +693,12 @@ def window_model(seed: int, n: int):
 
 
 class TestSearchCounters:
-    """The clause (b) memo skips probes, never settings: the counters keep
-    the values they had before it."""
+    """The counters are those of a scan that steps through every setting:
+    ``partitions_examined`` counts the contingency sets tried, and
+    ``settings_examined`` every (W, x', w') up to the last witness the
+    caller took, or to the end.  The clause (b) memo, the boxes over
+    screened clamps and the learned patterns skip probes and walks, never
+    settings, so the values below predate all three."""
 
     # (seed, cause variables) -> (overall, partitions, settings) per variant
     WINDOW = {
@@ -844,3 +858,343 @@ class TestSearchCounters:
             run(stats)
             assert stats.partitions_examined > 1
             assert stats.settings_examined > 0
+
+
+def reference_witnesses(engine, cause, variant, stats, fixed_w=None,
+                        x_override=None):
+    """The per-setting AC2 scan, kept as the reference for _Engine.witnesses:
+    every setting of every contingency set is counted and then checked
+    clause by clause as the definition reads, with no memo, no relevance
+    and no learned pattern.  Only ``probe`` is shared with the engine."""
+    endo, actual, domains = engine.endo, engine.actual, engine.domains
+    xvars = cause.vars
+    x_held = dict(zip(xvars, x_override if x_override is not None
+                      else cause.values))
+    free = [v for v in endo if v not in xvars]
+    legacy = variant is DefinitionVariant.LEGACY
+    strong = variant is DefinitionVariant.STRONG
+
+    def outcome(clamps):
+        return engine.probe(engine.key(clamps.items()))
+
+    def subsets(items):
+        return itertools.chain.from_iterable(
+            itertools.combinations(items, k) for k in range(len(items) + 1))
+
+    def b_holds(pins):
+        process = [v for v in free if v not in pins]
+        for w_part in [tuple(pins)] if legacy else subsets(tuple(pins)):
+            for z_part in subsets(process):
+                clamps = dict(x_held)
+                clamps.update((w, pins[w]) for w in w_part)
+                clamps.update((v, actual[v]) for v in z_part)
+                holds, _, allowed = outcome(clamps)
+                if allowed and not holds:
+                    return False
+        return True
+
+    def c_holds(w_set):
+        for w_prime in itertools.product(*(domains[w] for w in w_set)):
+            clamps = {**x_held, **dict(zip(w_set, w_prime))}
+            holds, _, allowed = outcome(clamps)
+            if allowed and not holds:
+                return False
+        return True
+
+    def clause_a(pins, x_prime):
+        if not strong:
+            clamps = {**pins, **dict(zip(xvars, x_prime))}
+            _, reached, allowed = outcome(clamps)
+            return x_prime if reached and allowed else None
+        first = None
+        for x_dev in deviations:
+            _, reached, allowed = outcome({**pins, **dict(zip(xvars, x_dev))})
+            if allowed and not reached:
+                return None
+            if allowed and first is None:
+                first = x_dev
+        return first
+
+    deviations = list(itertools.product(
+        *(tuple(v for v in domains[x] if v != val)
+          for x, val in zip(xvars, cause.values))))
+    if strong and not deviations:
+        return
+    bases = [None] if strong else [
+        x for x in itertools.product(*(domains[x] for x in xvars))
+        if x != cause.values]
+    w_sets = [fixed_w] if fixed_w is not None else [
+        w for k in range(len(free) + 1)
+        for w in itertools.combinations(free, k)]
+    for w_set in w_sets:
+        stats.partitions_examined += 1
+        for x_prime in bases:
+            for w_prime in itertools.product(*(domains[w] for w in w_set)):
+                stats.settings_examined += 1
+                pins = dict(zip(w_set, w_prime))
+                x_used = clause_a(pins, x_prime)
+                if (x_used is None or not b_holds(pins)
+                        or strong and not c_holds(w_set)):
+                    continue
+                yield Witness(tuple(w_set), x_used, w_prime, tuple(
+                    (v, actual[v]) for v in endo if v not in w_set))
+
+
+def scan_engines(seed):
+    """(label, engine, effect) triples over one seeded model, by seed modulo
+    3: a mixed_domain_model (2-3-valued), a binary window_model or a binary
+    random_recursive_model, of up to 5 variables; plain, with an allow
+    formula, a frozenset and a callable allowable, with a contrasted outcome
+    as the goal, and a two-variable effect under another allow formula."""
+    model = [mixed_domain_model, lambda s: window_model(s, 5),
+             lambda s: random_recursive_model(s, 5)][seed % 3](seed)
+    endo, context = model.endogenous, {"U": seed // 3 % 2}
+    actual = solve(model, context)
+    rng = random.Random(900 + seed)
+    last = endo[-1]
+    effect = p(last, actual[last])
+    formula = Or((p(endo[1], actual[endo[1]]),
+                  p(endo[-2], rng.choice(model.domain_of(endo[-2]).values))))
+    pool = frozenset(s for s in itertools.product(
+        *(model.domain_of(v).values for v in endo))
+        if s == tuple(actual[v] for v in endo) or rng.random() < 0.7)
+
+    def in_pool(a):
+        return tuple(a[v] for v in endo) in pool
+    other = next(v for v in model.domain_of(last).values if v != actual[last])
+    pair = conj(p(endo[-2], actual[endo[-2]]), effect)
+    first = Or((effect,
+                p(endo[0], rng.choice(model.domain_of(endo[0]).values))))
+    for label, target, goal, defeat in (
+            ("plain", model, effect, None),
+            ("formula", ExtendedCausalModel(model, formula), effect, None),
+            ("set", ExtendedCausalModel(model, pool), effect, None),
+            ("callable", ExtendedCausalModel(model, in_pool), effect, None),
+            ("defeat", model, effect, p(last, other)),
+            ("pair", ExtendedCausalModel(model, first), pair, None)):
+        try:
+            engine = _Engine(target, context, goal, defeat=defeat)
+        except DisallowedActualWorld:
+            continue
+        yield f"seed {seed} {label}", engine, goal
+
+
+def search_cases(engine):
+    """(cause, fixed_w, x_override) for every single-conjunct cause on an
+    actual value and one two-conjunct cause, then the first two single
+    causes under every contingency set fixed in turn and under every
+    alternative value."""
+    endo, actual = engine.endo, engine.actual
+    singles = [cause_of(p(v, actual[v])) for v in endo[:-1]]
+    for cause in singles + [cause_of(p(endo[0], actual[endo[0]]),
+                                     p(endo[1], actual[endo[1]]))]:
+        yield cause, None, None
+    for cause in singles[:2]:
+        free = [v for v in endo if v not in cause.vars]
+        for k in range(len(free) + 1):
+            for w_set in itertools.combinations(free, k):
+                yield cause, w_set, None
+        for alt in engine.domains[cause.vars[0]]:
+            if alt != cause.values[0]:
+                yield cause, None, (alt,)
+
+
+def run_both(engine, cause, variant, fixed_w, x_override, first_only):
+    """Witnesses and counts of the engine's scan and of the reference."""
+    results = []
+    for scan in (engine.witnesses, lambda *a, **kw: reference_witnesses(
+            engine, *a, **kw)):
+        stats = SearchStats()
+        found = scan(cause, variant, stats, fixed_w=fixed_w,
+                     x_override=x_override)
+        found = [next(found, None)] if first_only else list(found)
+        results.append((found, stats))
+    return results
+
+
+def sorted_blocks(engine, cause, witnesses):
+    """Contingency sets whose screened slots come before a relevant one and
+    that hold two or more of ``witnesses``: their order needs the sort."""
+    x_mask = sum(1 << engine.index[x] for x in cause.vars)
+    count = 0
+    for w_set in {w.w_set for w in witnesses}:
+        slots = [engine.index[w] for w in w_set]
+        rel = engine._relevant(x_mask | sum(1 << i for i in slots))
+        relevant = [i for i in slots if rel >> i & 1]
+        screened = [i for i in slots if not rel >> i & 1]
+        count += (bool(relevant and screened) and screened[0] < relevant[-1]
+                  and sum(w.w_set == w_set for w in witnesses) > 1)
+    return count
+
+
+def dropped_boxes(engine, cause):
+    """Boxes of an ``updated`` scan that the engine's learned patterns retire
+    whole: a relevant setting that passes clause (a), and a pattern that
+    reads none of the box's screened slots and matches its pinned key."""
+    endo, index, values = engine.endo, engine.index, engine._values
+    held = engine.key(zip(cause.vars, cause.values))
+    groups = engine._learned.get(held, {})
+    x_mask = sum(1 << index[x] for x in cause.vars)
+    free = [i for i, v in enumerate(endo) if v not in cause.vars]
+    count = 0
+    for k in range(len(free) + 1):
+        for w in itertools.combinations(free, k):
+            rel = engine._relevant(x_mask | sum(1 << i for i in w))
+            relevant = [i for i in w if rel >> i & 1]
+            screened = {i for i in w if not rel >> i & 1}
+            if not screened:
+                continue
+            for x_prime in itertools.product(
+                    *(engine.domains[x] for x in cause.vars)):
+                if x_prime == cause.values:
+                    continue
+                for r in itertools.product(*(values[i] for i in relevant)):
+                    clamps = [*zip(cause.vars, x_prime),
+                              *((endo[i], x) for i, x in zip(relevant, r))]
+                    _, reached, allowed = engine.probe(engine.key(clamps))
+                    pinned = list(held)
+                    for i, x in zip(relevant, r):
+                        pinned[i] = x if x != engine.actual[endo[i]] else _FREE
+                    count += reached and allowed and any(
+                        get(tuple(pinned)) in seen
+                        for slots, (get, seen) in groups.items()
+                        if screened.isdisjoint(slots))
+    return count
+
+
+class _Tripwire:
+    def __getattr__(self, name):
+        raise AssertionError("the legacy scan consulted a learned pattern")
+
+
+class TestRelevantScan:
+    """_Engine.witnesses probes clause (a) over each contingency set's
+    relevant clamps and retires clause (b) failures by learned patterns; the
+    per-setting reference scan must give the same witnesses, in the same
+    order, with the same SearchStats, drained or stopped at the first."""
+
+    def test_scan_matches_the_reference(self):
+        compared = sort_needed = dropped = 0
+        for seed in range(10):
+            for label, engine, _ in scan_engines(seed):
+                for cause, fixed_w, x_override in search_cases(engine):
+                    for variant in DefinitionVariant:
+                        for first_only in (False, True):
+                            (new, new_stats), (ref, ref_stats) = run_both(
+                                engine, cause, variant, fixed_w, x_override,
+                                first_only)
+                            case = (label, str(cause), fixed_w, x_override,
+                                    variant, first_only)
+                            assert new == ref, case
+                            assert new_stats == ref_stats, case
+                            compared += 1
+                            if (fixed_w is x_override is None
+                                    and not first_only):
+                                sort_needed += sorted_blocks(engine, cause,
+                                                             new)
+                    if fixed_w is x_override is None:
+                        dropped += dropped_boxes(engine, cause)
+        assert compared > 5000
+        assert sort_needed > 0 and dropped > 0, (sort_needed, dropped)
+
+    def test_legacy_never_consults_patterns(self):
+        for seed in range(6):
+            for label, engine, _ in scan_engines(seed):
+                cases = list(search_cases(engine))
+                for cause, fixed_w, x_override in cases:
+                    list(engine.witnesses(cause, DefinitionVariant.UPDATED,
+                                          SearchStats(), fixed_w=fixed_w,
+                                          x_override=x_override))
+                learned, engine._learned = engine._learned, _Tripwire()
+                assert any(learned.values()) or seed % 3 != 1, label
+                for cause, fixed_w, x_override in cases:
+                    (new, new_stats), (ref, ref_stats) = run_both(
+                        engine, cause, DefinitionVariant.LEGACY, fixed_w,
+                        x_override, False)
+                    assert (new, new_stats) == (ref, ref_stats), label
+
+    def test_learned_patterns_only_retire_failing_walks(self):
+        """Every pinned key that matches a learned pattern fails clause (b)
+        when walked directly."""
+        retired = 0
+        for seed in range(8):
+            for label, engine, _ in scan_engines(seed):
+                for cause, fixed_w, x_override in search_cases(engine):
+                    for variant in (DefinitionVariant.UPDATED,
+                                    DefinitionVariant.STRONG):
+                        list(engine.witnesses(cause, variant, SearchStats(),
+                                              fixed_w=fixed_w,
+                                              x_override=x_override))
+                actual = [engine.actual[v] for v in engine.endo]
+                for held, groups in engine._learned.items():
+                    free = tuple(i for i, h in enumerate(held) if h is _FREE)
+                    columns = [tuple(dict.fromkeys(
+                        _FREE if x == actual[i] else x
+                        for x in engine._values[i])) if h is _FREE else (h,)
+                        for i, h in enumerate(held)]
+                    for pinned in itertools.product(*columns):
+                        if any(get(pinned) in seen
+                               for get, seen in groups.values()):
+                            assert engine._b_holds(pinned, held, free,
+                                                   False) is not None, label
+                            retired += 1
+        assert retired > 100
+
+    def test_screened_clamps_cannot_change_a_probe(self):
+        """Changing or freeing a clamp that _relevant screens, alone or all
+        together, leaves the triple of public solve + eval_event as it was,
+        and probe reports that triple."""
+        checked = 0
+        for seed in range(10):
+            model = (mixed_domain_model(seed) if seed % 2 == 0
+                     else window_model(seed, 5))
+            endo, context = model.endogenous, {"U": seed // 2 % 2}
+            actual = solve(model, context)
+            last = endo[-1]
+            other = next(v for v in model.domain_of(last).values
+                         if v != actual[last])
+            allow = Or((p(endo[1], actual[endo[1]]), p(last, other)))
+            for effect, defeat, allowable in (
+                    (p(last, actual[last]), None, None),
+                    (p(endo[-2], actual[endo[-2]]), None, allow),
+                    (p(last, actual[last]), p(last, other), None)):
+
+                def triple(clamps):
+                    world = solve(model, context, clamps)
+                    holds = eval_event(world, effect)
+                    return (holds, not holds if defeat is None
+                            else eval_event(world, defeat),
+                            allowable is None or eval_event(world, allowable))
+
+                target = (model if allowable is None
+                          else ExtendedCausalModel(model, allowable))
+                engine = _Engine(target, context, effect, defeat=defeat)
+                for k in range(len(endo) + 1):
+                    for names in itertools.combinations(endo, k):
+                        mask = sum(1 << engine.index[v] for v in names)
+                        rel = engine._relevant(mask)
+                        assert rel & ~mask == 0
+                        screened = [v for v in names
+                                    if not rel >> engine.index[v] & 1]
+                        for values in itertools.product(
+                                *(model.domain_of(v).values for v in names)):
+                            clamps = dict(zip(names, values))
+                            expected = triple(clamps)
+                            assert engine.probe(engine.key(
+                                clamps.items())) == expected
+                            variants = [{v: x for v, x in clamps.items()
+                                         if v not in screened}]
+                            for v in screened:
+                                variants.append({w: x for w, x in
+                                                 clamps.items() if w != v})
+                                variants.extend({**clamps, v: x} for x in
+                                                model.domain_of(v).values)
+                            for changed in variants:
+                                assert triple(changed) == expected, (
+                                    seed, clamps, changed)
+                                checked += 1
+        assert checked > 5000
+
+
+def test_search_stats_is_exported():
+    assert actualcause.SearchStats is SearchStats
