@@ -18,9 +18,11 @@ from .dsl import (
     LoadedModel,
     QueryDocument,
     load_model,
+    parse_assignments,
     parse_causal_formula,
     parse_conjunction,
     parse_event_formula,
+    parse_value,
 )
 from .errors import CausalityError, SearchSpaceTooLarge
 from .formula import eval_trace
@@ -95,23 +97,12 @@ def _load(path: str) -> LoadedModel:
         return load_model(handle.read())
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if text.lstrip("-").isdigit():
-        return int(text)
-    return text
-
-
 def _document(args: argparse.Namespace, loaded: LoadedModel) -> QueryDocument:
     model = loaded.model
     context_name = None
     context_values = None
     if "=" in args.context:
-        pairs = []
-        for part in args.context.split(","):
-            var, _, value = part.partition("=")
-            pairs.append((var.strip(), _parse_value(value)))
-        context_values = tuple(pairs)
+        context_values = parse_assignments(args.context)
     else:
         context_name = args.context.strip()
         loaded.context(context_name)  # fail early with a clear message
@@ -133,7 +124,7 @@ def _document(args: argparse.Namespace, loaded: LoadedModel) -> QueryDocument:
             effect_alternative = parse_event_formula(args.against, model)
         else:
             contrast_mode = "antecedent_weak" if args.weak else "antecedent_strong"
-            value_alternative = _parse_value(args.rather)
+            value_alternative = parse_value(args.rather)
 
     return QueryDocument(kind=kind, model_name=model.name or "",
                          context_name=context_name,

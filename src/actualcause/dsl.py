@@ -13,10 +13,14 @@ Model files (conventionally ``.hpc``) look like::
     }
 
 Whitespace (including newlines) is insignificant; ``#`` starts a comment that
-runs to the end of the line.  Equation expressions support value literals,
-variable references, ``=``/``!=`` tests yielding 0/1, ``!``/``&``/``|`` on
-0/1 values, ``+``/``-``/``min``/``max`` on integer values, ``if c then a else
-b``, and ``case { cond : value, ..., else : value }``.  Event formulas used in
+runs to the end of the line.  An identifier is a letter followed by letters,
+digits and ``_``; an integer is decimal digits, with an optional ``-`` before
+it where a value is expected.  Any other character is a syntax error.
+
+Equation expressions support value literals, variable references,
+``=``/``!=`` tests yielding 0/1, ``!``/``&``/``|`` on 0/1 values,
+``+``/``-``/``min``/``max`` on integer values, ``if c then a else b``, and
+``case { cond : value, ..., else : value }``.  Event formulas used in
 ``allow`` clauses and queries support ``=``, ``!=``, ``!``, ``&``, ``|``,
 ``=>``, ``<=>``, and parentheses; implication and biconditional desugar to
 not/and/or at parse time.  Counterfactual formulas add ``[X<-v, ...](phi)``
@@ -38,9 +42,9 @@ followed by options in any order: ``variant updated|legacy|strong``,
 
 from __future__ import annotations
 
-import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Mapping
 
 from . import formula as fm
 from .cause import CandidateCause, DefinitionVariant
@@ -63,13 +67,18 @@ from .model import (
 
 RESERVED = {"case", "else", "if", "then", "min", "max"}
 
-_PUNCT = ("<=>", "=>", "<-", "!=", "{", "}", "(", ")", "[", "]",
-          ",", ":", "=", "!", "&", "|", "+", "-", "<", ">")
+# One alternative per lexeme, tried in order; the unnamed ones are layout and
+# comments.  ``\w`` is exactly ``str.isalnum`` plus ``_`` and ``\d`` exactly
+# ``str.isdecimal``, so an identifier is ``\w+`` whose first character passes
+# ``str.isalpha``, and ``int`` accepts every integer token.
+_LEXEME = re.compile(r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<int>\d+)"
+                     r"|(?P<ident>\w+)|(?P<punct><=>|=>|<-|!=|[{}()\[\],:=!&|+<>-])"
+                     r"|(?P<other>.)")
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: str          # 'ident', 'int', or the punctuation itself
+    kind: str          # 'ident', 'int', 'eof', or the punctuation itself
     text: str
     line: int
     column: int
@@ -77,48 +86,19 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token(punct, punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        kind, lexeme = match.lastgroup, match[0]
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "other" or (kind == "ident" and not lexeme[0].isalpha()):
+            raise DslSyntaxError(f"unexpected character {lexeme[0]!r}",
+                                 line, column)
+        elif kind is not None:
+            tokens.append(Token(lexeme if kind == "punct" else kind, lexeme,
+                                line, column))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -359,13 +339,8 @@ class _Parser:
 
     def expr_atom(self) -> Expr:
         tok = self.here
-        if tok.kind == "int":
-            self.advance()
-            return Lit(int(tok.text))
-        if tok.kind == "-":
-            self.advance()
-            inner = self.expect("int", "integer after '-'")
-            return Lit(-int(inner.text))
+        if tok.kind in ("int", "-"):
+            return Lit(self.value())
         if tok.kind == "(":
             self.advance()
             node = self.expr()
@@ -375,10 +350,7 @@ class _Parser:
             if tok.text in ("min", "max"):
                 self.advance()
                 self.expect("(", f"'(' after {tok.text}")
-                args = [self.expr()]
-                while self.here.kind == ",":
-                    self.advance()
-                    args.append(self.expr())
+                args = self.separated(self.expr)
                 self.expect(")", "')'")
                 if len(args) < 2:
                     raise DslSyntaxError(f"{tok.text} needs at least two "
@@ -440,56 +412,51 @@ class _Parser:
             return fm.Not(fm.Prim(tok.text, self.value()))
         self.fail("'=' or '!=' after variable")
 
+    # -- lists and bindings ----------------------------------------------
+
+    def separated(self, item, sep: str = ",") -> list:
+        """``item (sep item)*``."""
+        items = [item()]
+        while self.here.kind == sep:
+            self.advance()
+            items.append(item())
+        return items
+
     def nary(self, op: str, operand, node):
         """``operand (op operand)*``, wrapped in ``node`` when repeated."""
-        parts = [operand()]
-        while self.here.kind == op:
-            self.advance()
-            parts.append(operand())
+        parts = self.separated(operand, op)
         return parts[0] if len(parts) == 1 else node(tuple(parts))
 
+    def binding(self, arrow: str = "=") -> tuple[str, Value]:
+        """``X = v``, or ``X <- v`` in an intervention."""
+        var = self.ident("a variable name").text
+        self.expect(arrow, repr(arrow))
+        return var, self.value()
+
     def interventions(self, closer: str) -> tuple[tuple[str, Value], ...]:
-        items: list[tuple[str, Value]] = []
-        if self.here.kind == closer:
-            self.advance()
-            return ()
-        while True:
-            var = self.ident("a variable name").text
-            self.expect("<-", "'<-'")
-            items.append((var, self.value()))
-            if self.here.kind == ",":
-                self.advance()
-                continue
-            break
+        items = () if self.here.kind == closer else \
+            tuple(self.separated(lambda: self.binding("<-")))
         self.expect(closer, repr(closer))
-        return tuple(items)
+        return items
 
     def assignments(self) -> tuple[tuple[str, Value], ...]:
         """``{ X = v, ... }``; the commas are optional."""
         self.expect("{", "'{'")
         items: list[tuple[str, Value]] = []
         while self.here.kind != "}":
-            var = self.ident("a variable name").text
-            self.expect("=", "'='")
-            items.append((var, self.value()))
+            items.append(self.binding())
             if self.here.kind == ",":
                 self.advance()
         self.expect("}", "'}'")
         return tuple(items)
 
-    # -- cause conjunctions (X=x & Y=y ...) --------------------------------
-
     def conjunction(self) -> CandidateCause:
-        events: list[fm.Prim] = []
-        while True:
-            tok = self.ident("a variable name")
+        """A cause: ``X = x & Y = y ...``."""
+        def event() -> fm.Prim:
+            var = self.ident("a variable name").text
             self.expect("=", "'=' (cause conjuncts are equalities)")
-            events.append(fm.Prim(tok.text, self.value()))
-            if self.here.kind == "&":
-                self.advance()
-                continue
-            break
-        return CandidateCause(tuple(events))
+            return fm.Prim(var, self.value())
+        return CandidateCause(tuple(self.separated(event, "&")))
 
 
 # -- model documents ----------------------------------------------------------
@@ -514,10 +481,7 @@ def parse_model(text: str) -> ModelDocument:
                                      var.line, var.column)
             parser.expect(":", "':'")
             parser.expect("{", "'{' opening the domain")
-            values = [parser.value()]
-            while parser.here.kind == ",":
-                parser.advance()
-                values.append(parser.value())
+            values = parser.separated(parser.value)
             parser.expect("}", "'}' closing the domain")
             decls.append(VarDecl(tok.text, var.text, tuple(values),
                                  tok.line, tok.column))
@@ -570,128 +534,112 @@ class LoadedModel:
                                     f"context {name!r}", 0, 0) from None
 
 
-def _nodes(expr: Expr) -> Iterator[Expr]:
-    """Every node of an expression, children left to right before parents."""
-    if isinstance(expr, (Cmp, Arith)):
-        children: tuple[Expr, ...] = (expr.left, expr.right)
-    elif isinstance(expr, NotE):
-        children = (expr.body,)
-    elif isinstance(expr, (AndE, OrE)):
-        children = expr.parts
-    elif isinstance(expr, Call):
-        children = expr.args
-    elif isinstance(expr, IfE):
-        children = (expr.cond, expr.then, expr.other)
-    elif isinstance(expr, CaseE):
-        children = tuple(itertools.chain(*expr.arms))
-        children += () if expr.default is None else (expr.default,)
-    else:
-        children = ()
-    for child in children:
-        yield from _nodes(child)
-    yield expr
+def _compile(stmt: EqStmt, signature: Signature
+             ) -> tuple[tuple[str, ...], Callable[[Mapping[str, Value]], Value]]:
+    """Resolve an equation and build its evaluator in one walk.
 
+    The walk visits children left to right before their parent, resolving
+    each name to a variable or a domain symbol and checking each literal
+    compared against a variable; the first fault in that order is raised.
+    Returns the variables read, in declaration order, and a function from an
+    environment of them to the equation's value.
+    """
+    target, where = stmt.target, (stmt.line, stmt.column)
+    declared = set(signature.variables)
+    symbols = {v for dom in signature.ranges.values() for v in dom.values
+               if isinstance(v, str)}
+    used: set[str] = set()
 
-class _ExprProgram:
-    """Compiled equation: resolved names, dependency list, evaluator."""
+    def type_error(message: str) -> DslTypeError:
+        return DslTypeError(f"in the equation for {target}: {message}", *where)
 
-    def __init__(self, stmt: EqStmt, signature: Signature):
-        self.stmt = stmt
-        self.signature = signature
-        declared = set(signature.variables)
-        symbols = {v for dom in signature.ranges.values() for v in dom.values
-                   if isinstance(v, str)}
-        self.deps: list[str] = []
-        self._resolve(stmt.expr, declared, symbols)
+    def checked(expr: Expr, ok, message: str):
+        evaluate = walk(expr)
 
-    def _resolve(self, expr: Expr, declared: set[str], symbols: set[str]) -> None:
-        for node in _nodes(expr):
-            if isinstance(node, Cmp):
-                self._static_domain_check(node)
-            if not isinstance(node, Name):
-                continue
-            if node.ident == self.stmt.target:
-                raise DslTypeError(
-                    f"equation for {self.stmt.target} refers to itself",
-                    self.stmt.line, self.stmt.column)
-            if node.ident in declared:
-                if node.ident not in self.deps:
-                    self.deps.append(node.ident)
-            elif node.ident not in symbols:
-                raise UnknownIdentifier(
-                    f"{node.ident!r} is neither a variable nor a domain value",
-                    self.stmt.line, self.stmt.column)
+        def check(env):
+            value = evaluate(env)
+            if not ok(value):
+                raise type_error(f"{message} {value!r}")
+            return value
+        return check
 
-    def _static_domain_check(self, cmp: Cmp) -> None:
-        """A literal compared against a variable must lie in its domain."""
-        pairs = ((cmp.left, cmp.right), (cmp.right, cmp.left))
-        declared = set(self.signature.variables)
-        for ref, other in pairs:
-            if isinstance(ref, Name) and ref.ident in declared and \
-                    isinstance(other, Lit):
-                if other.value not in self.signature.domain_of(ref.ident):
-                    raise DslTypeError(
-                        f"{other.value!r} is not in the domain of {ref.ident}",
-                        self.stmt.line, self.stmt.column)
+    def truth(expr: Expr):
+        return checked(expr, lambda v: v in (0, 1),
+                       "boolean operator applied to non-0/1 value")
 
-    def ordered_deps(self) -> tuple[str, ...]:
-        order = {v: i for i, v in enumerate(self.signature.variables)}
-        return tuple(sorted(self.deps, key=order.__getitem__))
+    def integer(expr: Expr):
+        return checked(expr, lambda v: isinstance(v, int),
+                       "arithmetic applied to non-integer value")
 
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        return self._eval(self.stmt.expr, env)
-
-    def _type_error(self, message: str) -> DslTypeError:
-        return DslTypeError(f"in the equation for {self.stmt.target}: {message}",
-                            self.stmt.line, self.stmt.column)
-
-    def _truth(self, expr: Expr, env: Mapping[str, Value]) -> int:
-        value = self._eval(expr, env)
-        if value not in (0, 1):
-            raise self._type_error(
-                f"boolean operator applied to non-0/1 value {value!r}")
-        return value
-
-    def _int(self, expr: Expr, env: Mapping[str, Value]) -> int:
-        value = self._eval(expr, env)
-        if not isinstance(value, int):
-            raise self._type_error(
-                f"arithmetic applied to non-integer value {value!r}")
-        return value
-
-    def _eval(self, expr: Expr, env: Mapping[str, Value]) -> Value:
+    def walk(expr: Expr):
         if isinstance(expr, Lit):
-            return expr.value
+            value = expr.value
+            return lambda env: value
         if isinstance(expr, Name):
-            if expr.ident in env:
-                return env[expr.ident]
-            return expr.ident  # resolved symbol literal
+            ident = expr.ident
+            if ident == target:
+                raise DslTypeError(f"equation for {target} refers to itself",
+                                   *where)
+            if ident in declared:
+                used.add(ident)
+                return lambda env: env[ident]
+            if ident not in symbols:
+                raise UnknownIdentifier(
+                    f"{ident!r} is neither a variable nor a domain value",
+                    *where)
+            return lambda env: ident
         if isinstance(expr, Cmp):
-            same = self._eval(expr.left, env) == self._eval(expr.right, env)
-            return int(same) if expr.op == "=" else int(not same)
+            left, right = walk(expr.left), walk(expr.right)
+            for ref, other in ((expr.left, expr.right), (expr.right, expr.left)):
+                if isinstance(ref, Name) and ref.ident in declared and \
+                        isinstance(other, Lit) and \
+                        other.value not in signature.domain_of(ref.ident):
+                    raise DslTypeError(f"{other.value!r} is not in the domain "
+                                       f"of {ref.ident}", *where)
+            if expr.op == "=":
+                return lambda env: int(left(env) == right(env))
+            return lambda env: int(left(env) != right(env))
         if isinstance(expr, NotE):
-            return 1 - self._truth(expr.body, env)
-        if isinstance(expr, AndE):
-            return int(all(self._truth(p, env) for p in expr.parts))
-        if isinstance(expr, OrE):
-            return int(any(self._truth(p, env) for p in expr.parts))
+            body = truth(expr.body)
+            return lambda env: 1 - body(env)
+        if isinstance(expr, (AndE, OrE)):
+            parts = [truth(p) for p in expr.parts]
+            decisive = int(isinstance(expr, OrE))
+
+            def junction(env):
+                for part in parts:
+                    if part(env) == decisive:
+                        return decisive
+                return 1 - decisive
+            return junction
         if isinstance(expr, Arith):
-            left, right = self._int(expr.left, env), self._int(expr.right, env)
-            return left + right if expr.op == "+" else left - right
+            left, right = integer(expr.left), integer(expr.right)
+            if expr.op == "+":
+                return lambda env: left(env) + right(env)
+            return lambda env: left(env) - right(env)
         if isinstance(expr, Call):
-            values = [self._int(a, env) for a in expr.args]
-            return min(values) if expr.fn == "min" else max(values)
+            args = [integer(a) for a in expr.args]
+            pick = min if expr.fn == "min" else max
+            return lambda env: pick([a(env) for a in args])
         if isinstance(expr, IfE):
-            branch = expr.then if self._truth(expr.cond, env) else expr.other
-            return self._eval(branch, env)
-        if isinstance(expr, CaseE):
-            for cond, result in expr.arms:
-                if self._truth(cond, env):
-                    return self._eval(result, env)
-            if expr.default is None:
-                raise self._type_error(f"no case arm applies at {dict(env)}")
-            return self._eval(expr.default, env)
-        raise self._type_error(f"cannot evaluate {expr!r}")
+            cond, then, other = truth(expr.cond), walk(expr.then), walk(expr.other)
+            return lambda env: then(env) if cond(env) else other(env)
+        # CaseE, the one kind left
+        arms = [(truth(c), walk(r)) for c, r in expr.arms]
+        default = None if expr.default is None else walk(expr.default)
+
+        def case(env):
+            for cond, result in arms:
+                if cond(env):
+                    return result(env)
+            if default is None:
+                raise type_error(f"no case arm applies at {dict(env)}")
+            return default(env)
+        return case
+
+    evaluate = walk(stmt.expr)
+    del walk  # frees the helpers' reference cycle now, not in a GC pass
+    return tuple(v for v in signature.variables if v in used), evaluate
 
 
 def build_document(doc: ModelDocument) -> LoadedModel:
@@ -734,11 +682,9 @@ def build_document(doc: ModelDocument) -> LoadedModel:
             raise DslTypeError(f"no equation for endogenous {name!r}",
                                decl.line, decl.column)
 
-    mechanisms: list[Mechanism] = []
-    for name in endo:
-        program = _ExprProgram(by_target[name], signature)
-        mechanisms.append(Mechanism.from_function(name, program.ordered_deps(),
-                                                  program.evaluate))
+    mechanisms = [Mechanism.from_function(name,
+                                          *_compile(by_target[name], signature))
+                  for name in endo]
     try:
         model = build_model(signature, mechanisms, name=doc.name)
     except OutOfRangeOutput as exc:
@@ -789,43 +735,50 @@ def load_model(text: str) -> LoadedModel:
 
 # -- formula entry points ------------------------------------------------------
 
-def _checked_event(formula: fm.Formula, model: CausalModel) -> fm.Formula:
-    try:
-        fm.validate_event_formula(model, formula)
-    except CausalityError as exc:
-        raise UnknownIdentifier(str(exc), 0, 0) from None
+def _parse_all(text: str, rule, what: str):
+    """Parse the whole of ``text`` with one parser rule."""
+    parser = _Parser(tokenize(text))
+    node = rule(parser)
+    if parser.here.kind != "eof":
+        parser.fail(f"end of {what}")
+    return node
+
+
+def _checked(formula: fm.Formula, model: CausalModel | None,
+             validate=fm.validate_event_formula, line: int = 0,
+             column: int = 0) -> fm.Formula:
+    if model is not None:
+        try:
+            validate(model, formula)
+        except CausalityError as exc:
+            raise UnknownIdentifier(str(exc), line, column) from None
     return formula
 
 
 def parse_event_formula(text: str, model: CausalModel | None = None) -> fm.Formula:
-    parser = _Parser(tokenize(text))
-    node = parser.formula()
-    if parser.here.kind != "eof":
-        parser.fail("end of formula")
-    return _checked_event(node, model) if model is not None else node
+    return _checked(_parse_all(text, _Parser.formula, "formula"), model)
 
 
 def parse_causal_formula(text: str, model: CausalModel | None = None) -> fm.Formula:
-    parser = _Parser(tokenize(text))
-    node = parser.formula(causal=True)
-    if parser.here.kind != "eof":
-        parser.fail("end of formula")
-    if model is not None:
-        try:
-            fm.validate_causal_formula(model, node)
-        except CausalityError as exc:
-            raise UnknownIdentifier(str(exc), 0, 0) from None
-    return node
+    node = _parse_all(text, lambda p: p.formula(causal=True), "formula")
+    return _checked(node, model, fm.validate_causal_formula)
 
 
 def parse_conjunction(text: str, model: CausalModel | None = None) -> CandidateCause:
-    parser = _Parser(tokenize(text))
-    cause = parser.conjunction()
-    if parser.here.kind != "eof":
-        parser.fail("end of conjunction")
-    if model is not None:
-        _checked_event(cause.as_formula(), model)
+    cause = _parse_all(text, _Parser.conjunction, "conjunction")
+    _checked(cause.as_formula(), model)
     return cause
+
+
+def parse_value(text: str) -> Value:
+    """One value, as in a domain: an integer or a symbol."""
+    return _parse_all(text, _Parser.value, "value")
+
+
+def parse_assignments(text: str) -> tuple[tuple[str, Value], ...]:
+    """``X = v, Y = w, ...`` without braces; the commas are required."""
+    return _parse_all(text, lambda p: tuple(p.separated(p.binding)),
+                      "assignments")
 
 
 # -- queries -------------------------------------------------------------------
@@ -932,15 +885,12 @@ def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
                                    kind_tok.line, kind_tok.column)
     for f in (effect, effect_alternative):
         if f is not None:
-            _checked_event(f, model)
+            _checked(f, model)
     if cause is not None:
-        _checked_event(cause.as_formula(), model)
+        _checked(cause.as_formula(), model)
     if formula is not None:
-        try:
-            fm.validate_causal_formula(model, formula)
-        except CausalityError as exc:
-            raise UnknownIdentifier(str(exc), kind_tok.line,
-                                    kind_tok.column) from None
+        _checked(formula, model, fm.validate_causal_formula, kind_tok.line,
+                 kind_tok.column)
     if value_alternative is not None and cause is not None:
         if len(cause.events) == 1 and \
                 value_alternative not in model.domain_of(cause.events[0].var):
@@ -962,83 +912,69 @@ def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
 
 # -- serialization --------------------------------------------------------------
 
-def _value_text(value: Value) -> str:
-    return str(value)
+# Printer precedence: each node is parenthesised when printed at a level
+# above its own (1 or, 2 and, 3 negation, 4 comparison, 5 sum).
+_JUNCTIONS = {OrE: (" | ", 1), fm.Or: (" | ", 1),
+              AndE: (" & ", 2), fm.And: (" & ", 2)}
 
 
-_LEVEL = {"or": 1, "and": 2, "not": 3, "cmp": 4, "add": 5, "atom": 6}
-
-
-def _expr_text(expr: Expr, level: int = 0) -> str:
-    if isinstance(expr, Lit):
-        return _value_text(expr.value)
-    if isinstance(expr, Name):
-        return expr.ident
-    if isinstance(expr, OrE):
-        text = " | ".join(_expr_text(p, _LEVEL["or"] + 1) for p in expr.parts)
-        return f"({text})" if level > _LEVEL["or"] else text
-    if isinstance(expr, AndE):
-        text = " & ".join(_expr_text(p, _LEVEL["and"] + 1) for p in expr.parts)
-        return f"({text})" if level > _LEVEL["and"] else text
-    if isinstance(expr, NotE):
-        return f"!{_expr_text(expr.body, _LEVEL['not'])}"
-    if isinstance(expr, Cmp):
-        text = (f"{_expr_text(expr.left, _LEVEL['cmp'] + 1)} {expr.op} "
-                f"{_expr_text(expr.right, _LEVEL['cmp'] + 1)}")
-        return f"({text})" if level > _LEVEL["cmp"] else text
-    if isinstance(expr, Arith):
-        text = (f"{_expr_text(expr.left, _LEVEL['add'])} {expr.op} "
-                f"{_expr_text(expr.right, _LEVEL['add'] + 1)}")
-        return f"({text})" if level > _LEVEL["add"] else text
-    if isinstance(expr, Call):
-        args = ", ".join(_expr_text(a) for a in expr.args)
-        return f"{expr.fn}({args})"
-    if isinstance(expr, IfE):
-        text = (f"if {_expr_text(expr.cond, _LEVEL['or'])} "
-                f"then {_expr_text(expr.then)} else {_expr_text(expr.other)}")
+def formula_text(node: Expr | fm.Formula, level: int = 0) -> str:
+    """Concrete syntax for equation expressions and for event and
+    counterfactual formulas."""
+    if type(node) in _JUNCTIONS:
+        sep, own = _JUNCTIONS[type(node)]
+        text = sep.join(formula_text(p, own + 1) for p in node.parts)
+        return f"({text})" if level > own else text
+    if isinstance(node, Lit):
+        return str(node.value)
+    if isinstance(node, Name):
+        return node.ident
+    if isinstance(node, NotE):
+        return f"!{formula_text(node.body, 3)}"
+    if isinstance(node, Cmp):
+        text = (f"{formula_text(node.left, 5)} {node.op} "
+                f"{formula_text(node.right, 5)}")
+        return f"({text})" if level > 4 else text
+    if isinstance(node, Arith):
+        text = (f"{formula_text(node.left, 5)} {node.op} "
+                f"{formula_text(node.right, 6)}")
+        return f"({text})" if level > 5 else text
+    if isinstance(node, Call):
+        return f"{node.fn}({', '.join(map(formula_text, node.args))})"
+    if isinstance(node, IfE):
+        text = (f"if {formula_text(node.cond, 1)} then "
+                f"{formula_text(node.then)} else {formula_text(node.other)}")
         return f"({text})" if level > 0 else text
-    if isinstance(expr, CaseE):
-        arms = [f"{_expr_text(c)} : {_expr_text(r)}" for c, r in expr.arms]
-        if expr.default is not None:
-            arms.append(f"else : {_expr_text(expr.default)}")
+    if isinstance(node, CaseE):
+        arms = [f"{formula_text(c)} : {formula_text(r)}" for c, r in node.arms]
+        if node.default is not None:
+            arms.append(f"else : {formula_text(node.default)}")
         return "case { " + ", ".join(arms) + " }"
-    raise TypeError(f"cannot serialize {expr!r}")
-
-
-def formula_text(formula: fm.Formula, level: int = 0) -> str:
-    """Concrete syntax for event and counterfactual formulas."""
-    if isinstance(formula, fm.Prim):
-        return f"{formula.var} = {_value_text(formula.value)}"
-    if isinstance(formula, fm.Not):
-        if isinstance(formula.body, fm.Prim):
-            body = formula.body
-            return f"{body.var} != {_value_text(body.value)}"
-        return f"!({formula_text(formula.body)})"
-    if isinstance(formula, fm.And):
-        text = " & ".join(formula_text(p, 2) for p in formula.parts)
-        return f"({text})" if level > 1 else text
-    if isinstance(formula, fm.Or):
-        text = " | ".join(formula_text(p, 1) for p in formula.parts)
-        return f"({text})" if level > 0 else text
-    if isinstance(formula, fm.Basic):
-        iv = ", ".join(f"{v} <- {_value_text(x)}" for v, x in formula.intervention)
-        brackets = ("<", ">") if formula.diamond else ("[", "]")
-        return f"{brackets[0]}{iv}{brackets[1]}({formula_text(formula.body)})"
-    raise TypeError(f"cannot serialize {formula!r}")
+    if isinstance(node, fm.Prim):
+        return f"{node.var} = {node.value}"
+    if isinstance(node, fm.Not):
+        if isinstance(node.body, fm.Prim):
+            return f"{node.body.var} != {node.body.value}"
+        return f"!({formula_text(node.body)})"
+    if isinstance(node, fm.Basic):
+        iv = ", ".join(f"{v} <- {x}" for v, x in node.intervention)
+        brackets = ("<", ">") if node.diamond else ("[", "]")
+        return f"{brackets[0]}{iv}{brackets[1]}({formula_text(node.body)})"
+    raise TypeError(f"cannot serialize {node!r}")
 
 
 def serialize_model(doc: ModelDocument) -> str:
     """Canonical text; parsing it back yields a structurally equal document."""
     lines = [f"model {doc.name} {{"]
     for decl in doc.decls:
-        values = ", ".join(_value_text(v) for v in decl.values)
+        values = ", ".join(map(str, decl.values))
         lines.append(f"  {decl.kind} {decl.name} : {{{values}}}")
     for stmt in doc.equations:
-        lines.append(f"  eq {stmt.target} = {_expr_text(stmt.expr)}")
+        lines.append(f"  eq {stmt.target} = {formula_text(stmt.expr)}")
     for stmt in doc.allows:
-        lines.append(f"  allow {formula_text(stmt.formula, level=2)}")
+        lines.append(f"  allow {formula_text(stmt.formula, level=3)}")
     for ctx in doc.contexts:
-        items = ", ".join(f"{v} = {_value_text(x)}" for v, x in ctx.items)
+        items = ", ".join(f"{v} = {x}" for v, x in ctx.items)
         lines.append(f"  context {ctx.name} {{{items}}}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -79,6 +79,28 @@ class TestCheck:
                          "--effect", "FB=1")
         assert code == 0
 
+    def test_inline_context_needs_commas(self, capsys):
+        args = ("check", corpus_path("prisoner"), "--cause", "C=1",
+                "--effect", "D=1", "--context")
+        code, _, _ = run(capsys, *args, "UA=1, UB=0 ,UC=1")
+        assert code == 0
+        code, _, err = run(capsys, *args, "UA=1 UB=0 UC=1")
+        assert code == 3
+        assert err.startswith("error:")
+
+    def test_malformed_values_are_exit_three(self, capsys):
+        model = corpus_path("arson_disjunctive")
+        for argv in (("check", model, "--context", "u11",
+                      "--cause", "ML1=¹", "--effect", "FB=1"),
+                     ("check", model, "--context", "U=--1",
+                      "--cause", "ML1=1", "--effect", "FB=1"),
+                     ("contrast", model, "--context", "u11",
+                      "--cause", "ML1=1", "--effect", "FB=1",
+                      "--rather", "²")):
+            code, _, err = run(capsys, *argv)
+            assert code == 3, argv
+            assert err.startswith("error:"), argv
+
 
 class TestJson:
     def test_schema_and_agreement_with_text(self, capsys):
@@ -201,6 +223,15 @@ class TestOtherCommands:
                            "--context", "base", "--cause", "AS=1",
                            "--effect", "F=2", "--against", "F=2")
         assert code == 3
+
+    def test_contrast_rather_reads_a_value(self, capsys):
+        args = ("contrast", corpus_path("merlin_coarse"), "--context",
+                "spells", "--cause", "Mor=2", "--effect", "F=1",
+                "--rather", "1")
+        code, _, _ = run(capsys, *args, "--weak")
+        assert code == 0
+        code, _, _ = run(capsys, *args)
+        assert code == 1
 
     def test_strong_definition_flag(self, capsys):
         code, _, _ = run(capsys, "check", corpus_path("sergeant_simple"),

@@ -14,8 +14,14 @@ from actualcause import (
 )
 from actualcause.cause import DefinitionVariant
 from actualcause.corpus import REGISTRY, example_text
-from actualcause.dsl import parse_causal_formula, parse_event_formula
+from actualcause.dsl import (
+    formula_text,
+    parse_causal_formula,
+    parse_event_formula,
+    tokenize,
+)
 from actualcause.errors import (
+    CausalityError,
     DslSyntaxError,
     DslTypeError,
     UnknownIdentifier,
@@ -127,10 +133,97 @@ class TestParseModel:
         else:
             assert load_model(text).model.unverified_totality == ("Y",)
 
+    @pytest.mark.parametrize("expr, error, message", [
+        ("Y", DslTypeError, "equation for Y refers to itself"),
+        ("X | Nowhere", UnknownIdentifier,
+         "'Nowhere' is neither a variable nor a domain value"),
+        ("X = 7", DslTypeError, "7 is not in the domain of X"),
+        ("3 = X", DslTypeError, "3 is not in the domain of X"),
+        ("S = 1", DslTypeError, "1 is not in the domain of S"),
+        ("!X", DslTypeError, "in the equation for Y: boolean operator "
+                             "applied to non-0/1 value 2"),
+        ("X & U", DslTypeError, "in the equation for Y: boolean operator "
+                                "applied to non-0/1 value 2"),
+        ("U | X", DslTypeError, "in the equation for Y: boolean operator "
+                                "applied to non-0/1 value 2"),
+        ("if X then 1 else 0", DslTypeError, "in the equation for Y: boolean "
+                                             "operator applied to non-0/1 "
+                                             "value 2"),
+        ("case { X : 1, else : 0 }", DslTypeError, "in the equation for Y: "
+                                                   "boolean operator applied "
+                                                   "to non-0/1 value 2"),
+        ("S + U", DslTypeError, "in the equation for Y: arithmetic applied "
+                                "to non-integer value 'a'"),
+        ("U - S", DslTypeError, "in the equation for Y: arithmetic applied "
+                                "to non-integer value 'a'"),
+        ("min(U, S)", DslTypeError, "in the equation for Y: arithmetic "
+                                    "applied to non-integer value 'a'"),
+        ("max(S, U)", DslTypeError, "in the equation for Y: arithmetic "
+                                    "applied to non-integer value 'a'"),
+        ("case { U = 1 : 1 }", DslTypeError,
+         "in the equation for Y: no case arm applies at {'U': 0}"),
+        # two faults: the first in post-order (children before parents,
+        # left to right) is reported, and every static fault comes before
+        # any evaluation fault
+        ("Y = 7", DslTypeError, "equation for Y refers to itself"),
+        ("Nowhere | Y", UnknownIdentifier,
+         "'Nowhere' is neither a variable nor a domain value"),
+        ("Y | Nowhere", DslTypeError, "equation for Y refers to itself"),
+        ("(X = 7) | Nowhere", DslTypeError, "7 is not in the domain of X"),
+        ("!X | Nowhere", UnknownIdentifier,
+         "'Nowhere' is neither a variable nor a domain value"),
+        ("(S + U) | !X", DslTypeError, "in the equation for Y: arithmetic "
+                                       "applied to non-integer value 'a'"),
+    ])
+    def test_equation_diagnostics(self, expr, error, message):
+        text = ("model diag {\n  exo U : {0, 1}\n  exo S : {a, b}\n"
+                "  var X : {0, 1, 2}\n  var Y : {0, 1}\n  eq X = U + U\n"
+                f"  eq Y = {expr}\n  context c {{ U = 1, S = a }}\n}}\n")
+        with pytest.raises(CausalityError) as err:
+            load_model(text)
+        assert type(err.value) is error
+        assert err.value.message == message
+        assert (err.value.line, err.value.column) == (7, 6)
+
+    def test_token_positions(self):
+        text = "a\t<=> b\r\n  => c # x <- d\n!= <- e"
+        assert [(t.kind, t.text, t.line, t.column) for t in tokenize(text)] \
+            == [("ident", "a", 1, 1), ("<=>", "<=>", 1, 3),
+                ("ident", "b", 1, 7), ("=>", "=>", 2, 3),
+                ("ident", "c", 2, 6), ("!=", "!=", 3, 1),
+                ("<-", "<-", 3, 4), ("ident", "e", 3, 7), ("eof", "", 3, 8)]
+
     def test_comments_and_newlines_are_insignificant(self):
         squashed = " ".join(line.split("#")[0]
                             for line in FIRE.strip().splitlines())
         assert parse_model(squashed) == parse_model(FIRE)
+
+
+class TestLexicalRules:
+    def test_decimal_digits_of_any_script_are_integers(self):
+        assert parse_event_formula("X=٣") == Prim("X", 3)
+        assert parse_event_formula("X²=-1") == Prim("X²", -1)
+
+    @pytest.mark.parametrize("parse, text, char, position", [
+        (parse_model, "model m {\n  exo U : {0, ²}\n  var X : {0, 1}\n"
+                      "  eq X = U\n}", "²", (2, 15)),
+        (parse_event_formula, "X=¹", "¹", (1, 3)),
+        (parse_event_formula, "X=1²", "²", (1, 4)),
+        (parse_causal_formula, "[X<-1](Ⅻ=1)", "Ⅻ", (1, 8)),
+        (parse_causal_formula, "[X<-1](_X=1)", "_", (1, 8)),
+    ])
+    def test_other_characters_are_unexpected(self, parse, text, char,
+                                             position):
+        with pytest.raises(DslSyntaxError) as err:
+            parse(text)
+        assert err.value.message == f"unexpected character {char!r}"
+        assert (err.value.line, err.value.column) == position
+
+    def test_non_decimal_digit_in_a_query(self, corpus):
+        loaded = corpus["arson_disjunctive"].loaded
+        with pytest.raises(DslSyntaxError) as err:
+            parse_query("check cause ML1=¹ of FB=1 context u11", loaded)
+        assert (err.value.line, err.value.column) == (1, 17)
 
 
 class TestRoundTrip:
@@ -141,6 +234,21 @@ class TestRoundTrip:
             again = parse_model(text)
             assert again == doc, key
             assert serialize_model(again) == text, key
+
+    def test_expressions_and_formulas_share_one_precedence(self):
+        body = ("  eq A = if U then 1 - U + 1 else min(U, 2)\n"
+                "  eq B = (U | A = 1) & !(A = 2 & U) | !U = 1 - U"
+                " | (U | A = 0)\n"
+                "  allow ((A = 1 | B = 1) & !(A = 0 & B != 1)"
+                " | (A = 2 | B = 0))\n")
+        text = ("model p {\n  exo U : {0, 1}\n  var A : {0, 1, 2}\n"
+                "  var B : {0, 1}\n" + body + "}\n")
+        doc = parse_model(text.replace("!U = 1 - U", "!(U = 1 - U)")
+                              .replace("allow ((", "allow (")
+                              .replace("B = 0))\n", "B = 0)\n"))
+        assert serialize_model(doc) == text
+        f = parse_causal_formula("!([A<-1](B=0 | A=1) & <>(B!=1))")
+        assert formula_text(f) == "!([A <- 1](B = 0 | A = 1) & <>(B != 1))"
 
     def test_allow_clause_round_trips(self):
         doc = parse_model(example_text("noise_bottle"))
