@@ -692,6 +692,22 @@ def window_model(seed: int, n: int):
     return build_model(Signature(("U",), endo, ranges), mechanisms)
 
 
+def chain_model(seed: int, n: int):
+    """Binary chain C0 -> C1 -> ... from U, each link copying or negating,
+    declared in a shuffled order (the benchmark's offpath family)."""
+    rng = random.Random(seed)
+    names = [f"C{i}" for i in range(n)]
+    mechanisms = [Mechanism.from_table("C0", ("U",), {(0,): 0, (1,): 1})]
+    for prev, var in zip(names, names[1:]):
+        flip = rng.randint(0, 1)
+        mechanisms.append(Mechanism.from_table(
+            var, (prev,), {(0,): flip, (1,): 1 - flip}))
+    declared = names[:]
+    rng.shuffle(declared)
+    ranges = {v: Domain((0, 1)) for v in ("U", *names)}
+    return build_model(Signature(("U",), tuple(declared), ranges), mechanisms)
+
+
 class TestSearchCounters:
     """The counters are those of a scan that steps through every setting:
     ``partitions_examined`` counts the contingency sets tried, and
@@ -730,6 +746,21 @@ class TestSearchCounters:
                 stats = verdict.stats
                 assert (verdict.overall, stats.partitions_examined,
                         stats.settings_examined) == counts, (seed, xs, variant)
+
+    @pytest.mark.parametrize("model, cause, effect", [
+        (chain_model(0, 12), "C11", "C0"),  # the cause is not an ancestor
+        (window_model(0, 12), "V0", "V11"),  # an ancestor, verdict false
+    ])
+    def test_twelve_variables(self, model, cause, effect):
+        """A failing query searches all 2^11 contingency sets and all 3^11
+        settings of the eleven binary variables beside the cause."""
+        actual = solve(model, {"U": 0})
+        verdict = is_actual_cause(CauseQuery(
+            model, {"U": 0}, cause_of(p(cause, actual[cause])),
+            p(effect, actual[effect]), max_vars=64))
+        stats = verdict.stats
+        assert (verdict.overall, stats.partitions_examined,
+                stats.settings_examined) == (False, 2_048, 177_147)
 
     @pytest.mark.parametrize("variant, cause, counts", [
         ("legacy", "BT", (False, 16, 81)), ("legacy", "SH", (True, 3, 4)),
@@ -1062,6 +1093,47 @@ def dropped_boxes(engine, cause):
     return count
 
 
+def hub_model(seed: int):
+    """Seeded model in which many contingency sets share one set of relevant
+    clamps: the effect Y reads X and a gate G, G reads the feeders F0 and F1
+    (which read U), so clamping G screens both, and S reads X outside the
+    cone.  Variables are declared in a shuffled order, and each
+    is binary or 3-valued (Y always 3-valued)."""
+    rng = random.Random(4_000 + seed)
+    parents = {"X": ("U",), "F0": ("U",), "F1": ("U",), "G": ("F0", "F1"),
+               "S": ("X",), "Y": ("X", "G")}
+    endo = list(parents)
+    rng.shuffle(endo)
+    ranges = {"U": Domain((0, 1))}
+    ranges.update({v: Domain((0, 1, 2) if v == "Y" or rng.random() < 0.4
+                             else (0, 1)) for v in endo})
+    mechanisms = []
+    for var in endo:
+        deps = parents[var]
+        rows = itertools.product(*(ranges[d].values for d in deps))
+        table = {row: rng.choice(ranges[var].values) for row in rows}
+        mechanisms.append(Mechanism.from_table(var, deps, table))
+    return build_model(Signature(("U",), tuple(endo), ranges), mechanisms,
+                       name=f"hub_{seed}")
+
+
+def hub_engines(seed):
+    """(label, engine) pairs over hub_model(seed): plain, with an allow
+    formula over the gate, and with a contrasted outcome as the goal."""
+    model = hub_model(seed)
+    context = {"U": seed % 2}
+    actual = solve(model, context)
+    effect = p("Y", actual["Y"])
+    other = next(v for v in model.domain_of("Y").values if v != actual["Y"])
+    allow = Or((p("G", actual["G"]), p("Y", other)))
+    for label, target, defeat in (
+            ("plain", model, None),
+            ("formula", ExtendedCausalModel(model, allow), None),
+            ("defeat", model, p("Y", other))):
+        yield f"hub {seed} {label}", _Engine(target, context, effect,
+                                             defeat=defeat)
+
+
 class _Tripwire:
     def __getattr__(self, name):
         raise AssertionError("the legacy scan consulted a learned pattern")
@@ -1096,6 +1168,42 @@ class TestRelevantScan:
                         dropped += dropped_boxes(engine, cause)
         assert compared > 5000
         assert sort_needed > 0 and dropped > 0, (sort_needed, dropped)
+
+    def test_contingency_sets_that_share_relevant_clamps(self):
+        """Hub models, where most contingency sets share their relevant
+        clamps with others, match the reference under every variant, with a
+        fixed contingency set and with an alternative cause value."""
+        compared = shared = 0
+        for seed in range(3):
+            for label, engine in hub_engines(seed):
+                actual, index = engine.actual, engine.index
+                for names in (("X",), ("G",), ("F0",), ("X", "G")):
+                    cause = cause_of(*(p(v, actual[v]) for v in names))
+                    free = [v for v in engine.endo if v not in names]
+                    x_mask = sum(1 << index[v] for v in names)
+                    masks = [sum(1 << index[v] for v in w)
+                             for k in range(len(free) + 1)
+                             for w in itertools.combinations(free, k)]
+                    shared += len(masks) - len({
+                        engine._relevant(x_mask | m) & m for m in masks})
+                    cases = [(None, None), (("F0", "G", "S"), None),
+                             (("F1", "S"), None)]
+                    cases += [(None, (alt,)) for alt in engine.domains[
+                        names[0]] if len(names) == 1 and alt != actual[names[0]]]
+                    for (fixed_w, x_override), variant, first_only in (
+                            itertools.product(cases, DefinitionVariant,
+                                              (False, True))):
+                        if fixed_w is not None:
+                            fixed_w = tuple(v for v in engine.endo
+                                            if v in fixed_w and v in free)
+                        (new, new_stats), (ref, ref_stats) = run_both(
+                            engine, cause, variant, fixed_w, x_override,
+                            first_only)
+                        case = (label, names, fixed_w, x_override, variant,
+                                first_only)
+                        assert (new, new_stats) == (ref, ref_stats), case
+                        compared += 1
+        assert compared > 500 and shared > 500, (compared, shared)
 
     def test_legacy_never_consults_patterns(self):
         for seed in range(6):
