@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -186,6 +186,10 @@ def _part(part: tuple) -> tuple:
 _CODE: dict[str, tuple[CodeType, dict[int, int]]] = {}
 _CODE_CAP = 1 << 8
 _RELEVANCE_CAP = 1 << 12  # masks per kernel; a memo is emptied when full
+# Entries of an engine's probe cache and of each of its clause (b) memos;
+# either is emptied in place when full, which costs only repeated work.
+_CACHE_CAP = 1 << 18
+_MEMO_CAP = 1 << 16
 
 
 def _kernel(lines: list[str], namespace: dict
@@ -248,10 +252,10 @@ class _Engine:
     clause (b) keys from products of per-slot columns, in domain-product
     order.  Clause (a) runs over the clamps that can reach what a probe reads
     (see _relevant), and clause (b) failures are learned as patterns over
-    their violating pins (see witnesses).  Each scenario is solved at most
-    once and its outcome memoised, which is what makes the subset quantifier
-    in AC2(b) affordable: the same scenarios recur across candidate
-    witnesses.  ``defeat`` replaces the
+    their violating pins (see witnesses).  Each scenario's outcome is
+    memoised (the cache is emptied when it holds ``_CACHE_CAP`` entries),
+    which is what makes the subset quantifier in AC2(b) affordable: the same
+    scenarios recur across candidate witnesses.  ``defeat`` replaces the
     effect's negation as the goal of clause (a) (used for contrastive
     queries).  ``probe(key)`` gives (effect holds, clause-(a) goal reached,
     allowable): straight-line Python generated here over the cone, the
@@ -321,7 +325,8 @@ class _Engine:
                 cone.add(var)
                 todo.extend(d for d in model.parents[var] if d in self.index)
         ns = {"F": _FREE, "OUT": _OUTCOMES, "CACHE": self._cache,
-              "GET": self._cache.get, "ENDO": self.endo, "A": allowable}
+              "GET": self._cache.get, "CAP": _CACHE_CAP, "ENDO": self.endo,
+              "A": allowable}
         ref = {v: f"s{i}" for i, v in enumerate(self.endo)}
         for j, u in enumerate(model.exogenous):
             ref[u], ns[f"c{j}"] = f"c{j}", self.context[u]
@@ -342,7 +347,8 @@ class _Engine:
         goal = "not h" if defeat is None else emit(defeat)
         allow = ("True" if allowable is None else emit(allowable) if not whole
                  else f"bool(A(dict(zip(ENDO, {slots}))))")
-        lines += [f"CACHE[key] = r = OUT[h, {goal}, {allow}]", "return r"]
+        lines += ["if len(CACHE) >= CAP:", " CACHE.clear()",
+                  f"CACHE[key] = r = OUT[h, {goal}, {allow}]", "return r"]
         self.probe, self._relevance = _kernel(lines, ns)
         if not self.probe(self._unclamped)[2]:
             raise DisallowedActualWorld(
@@ -446,15 +452,19 @@ class _Engine:
 
         A block is one contingency set W and, outside ``strong``, one x';
         its settings run in domain-product order and a setting's position is
-        its index in that order.  Clause (a) is probed once per setting of
-        W's relevant clamps (see _relevant), with the screened ones left
-        free: that is the key of the smaller set R of relevant clamps, which
-        an earlier block has mostly probed already.  Each passing setting
-        stands for a box of settings, one per value of the screened slots;
-        the boxes come in position order unless a screened slot precedes a
-        relevant one, and are then sorted by position.  Every setting of a
-        box then runs one body: the clause (b) memo, the learned patterns,
-        the walk, clause (c), and the yield.
+        its index in that order.  Clause (a) reads only W's relevant clamps R
+        (see _relevant): a screened W slot is free in its key and ``_FREE``
+        in the pinned key, so both keys depend on R and x' alone.  So each
+        call keeps one survivor table per (R, x'), built at its first use by
+        one product over R's columns: each setting of R that passes clause
+        (a), in R's domain-product order, with its value indices.  A block
+        whose table is empty only adds its settings to the count.  Otherwise
+        each survivor stands for a box of settings, one per value of the
+        screened slots, at the position that its value indices times the
+        steps of R's slots in W give; the boxes come in position order unless
+        a screened slot precedes a relevant one, and are then sorted by
+        position.  Every setting of a box then runs one body: the clause (b)
+        memo, the learned patterns, the walk, clause (c), and the yield.
 
         Outside ``legacy`` a failed walk is learned as a pattern: its
         violating slots and the pinned values there (see _b_holds).  A pinned
@@ -507,34 +517,41 @@ class _Engine:
                          *(self.domains[x] for x in xvars))
                      if x != cause.values]
 
-        def boxes(cols, rel_pins, spans, x_prime, screened):
-            """(position, x', pinned key) of each setting in one block's
-            boxes that pass clause (a) and that no box-wide pattern drops,
-            boxes in the order of their relevant parts.  ``spans`` holds the
-            offsets that each relevant slot's values add to a position, and
-            ``screened`` those of each screened slot."""
-            drops = [group for slots, group in learned.items()
-                     if screened.keys().isdisjoint(slots)]
-            offsets = None  # of the settings in a box, made once
-            for key, pinned, at in zip(
+        tables: dict[tuple[int, int], list] = {}
+
+        def survivors(r_mask, base_cols, x_prime):
+            """(value indices, x', pinned key) of each setting of the W slots
+            in ``r_mask`` that passes clause (a), in domain-product order;
+            every other W slot is free in the probe and ``_FREE`` in the
+            pinned key, so every W with these relevant clamps shares them."""
+            relevant = [i for i in free if r_mask >> i & 1]
+            cols, rel_pins = base_cols.copy(), held_cols.copy()
+            for i in relevant:
+                cols[i], rel_pins[i] = values[i], pins[i]
+            table = []
+            for key, pinned, indices in zip(
                     itertools.product(*cols), itertools.product(*rel_pins),
-                    map(sum, itertools.product(*spans)) if screened
-                    else itertools.count()):
-                # A box of one setting meets the body's memo before its probe.
-                if (not screened and memo_get(pinned) is False) or (
-                        drops and any(get(pinned) in seen
-                                      for get, seen in drops)):
-                    continue
+                    itertools.product(*(range(sizes[i]) for i in relevant))):
                 if strong:
                     x_used = self._all_deviations_defeat(key, place,
                                                          deviations)
                 else:
                     _, reached, allowed = probe(key)
                     x_used = x_prime if reached and allowed else None
-                if x_used is None:
-                    continue
-                if not screened:
-                    yield at, x_used, pinned
+                if x_used is not None:
+                    table.append((indices, x_used, pinned))
+            return table
+
+        def boxes(table, steps, screened):
+            """(position, x', pinned key) of each setting in one block's
+            boxes that no box-wide pattern drops, boxes in table order.
+            ``steps`` holds what one value of each relevant slot adds to a
+            position, and ``screened`` the offsets of each screened slot."""
+            drops = [group for slots, group in learned.items()
+                     if screened.keys().isdisjoint(slots)]
+            offsets = None  # of the settings in a box, made once
+            for indices, x_used, pinned in table:
+                if drops and any(get(pinned) in seen for get, seen in drops):
                     continue
                 if offsets is None:
                     offsets = list(map(sum, itertools.product(
@@ -542,6 +559,7 @@ class _Engine:
                 box = [(value,) for value in pinned]
                 for i in screened:
                     box[i] = pins[i]
+                at = sum(map(mul, indices, steps))
                 yield from zip(map(at.__add__, offsets),
                                itertools.repeat(x_used),
                                itertools.product(*box))
@@ -549,32 +567,35 @@ class _Engine:
         for w in w_choices:
             stats.partitions_examined += 1
             w_mask = sum(map(bits.__getitem__, w))
-            rel = self._relevant(x_mask | w_mask)
-            some_screened = w_mask & ~rel
-            relevant = [i for i in w if rel >> i & 1] if some_screened else w
-            size = step = prod(map(sizes.__getitem__, w))
-            spans, screened = [], {}
-            if some_screened:
-                # Value j of a W slot adds j times the number of settings of
-                # the slots after it to the position.
-                for i in w:
-                    step //= sizes[i]
-                    span = range(0, sizes[i] * step, step)
-                    if rel >> i & 1:
-                        spans.append(span)
-                    else:
-                        screened[i] = span
-            rel_pins = held_cols.copy()
-            for i in relevant:
-                rel_pins[i] = pins[i]
+            r_mask = self._relevant(x_mask | w_mask) & w_mask
+            size = prod(map(sizes.__getitem__, w))
+            steps = None  # per relevant slot, made at the first survivor
             c_ok = parts = None  # clause (c) and the W parts, once per W
-            for x_prime, base_cols in bases:
-                cols = base_cols.copy()
-                for i in relevant:
-                    cols[i] = values[i]
-                found = boxes(cols, rel_pins, spans, x_prime, screened)
-                if relevant and screened and min(screened) < relevant[-1]:
-                    found = sorted(found)  # positions are distinct
+            for k, (x_prime, base_cols) in enumerate(bases):
+                table = tables.get((r_mask, k))
+                if table is None:
+                    table = tables[r_mask, k] = survivors(r_mask, base_cols,
+                                                          x_prime)
+                if not table:
+                    stats.settings_examined += size
+                    continue
+                if steps is None:
+                    # Value j of a W slot adds j times the number of settings
+                    # of the slots after it to the position.
+                    step, steps, screened = size, [], {}
+                    for i in w:
+                        step //= sizes[i]
+                        if r_mask >> i & 1:
+                            steps.append(step)
+                        else:
+                            screened[i] = range(0, sizes[i] * step, step)
+                if not screened:
+                    found = ((sum(map(mul, indices, steps)), x_used, pinned)
+                             for indices, x_used, pinned in table)
+                else:
+                    found = boxes(table, steps, screened)
+                    if r_mask.bit_length() - 1 > min(screened):
+                        found = sorted(found)  # positions are distinct
                 done = 0  # settings of this block already counted
                 for at, x_used, pinned in found:
                     ok = memo_get(pinned)  # None: not walked yet
@@ -583,6 +604,8 @@ class _Engine:
                                            for get, seen in learned.values()):
                             continue
                         bad = self._b_holds(pinned, held, free, legacy)
+                        if len(memo) >= _MEMO_CAP:
+                            memo.clear()
                         ok = memo[pinned] = bad is None
                         if not (ok or legacy):
                             get, seen = learned.setdefault(bad, (

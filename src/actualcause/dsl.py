@@ -439,12 +439,24 @@ class _Parser:
         self.expect(closer, repr(closer))
         return items
 
+    def assignment(self, seen: set[str]) -> tuple[str, Value]:
+        """``X = v`` of a context that has assigned ``seen`` so far; a
+        variable assigned twice is an error at its second assignment."""
+        tok = self.here
+        var, value = self.binding()
+        if var in seen:
+            raise DslSyntaxError(f"{var!r} is assigned twice",
+                                 tok.line, tok.column)
+        seen.add(var)
+        return var, value
+
     def assignments(self) -> tuple[tuple[str, Value], ...]:
         """``{ X = v, ... }``; the commas are optional."""
         self.expect("{", "'{'")
         items: list[tuple[str, Value]] = []
+        seen: set[str] = set()
         while self.here.kind != "}":
-            items.append(self.binding())
+            items.append(self.assignment(seen))
             if self.here.kind == ",":
                 self.advance()
         self.expect("}", "'}'")
@@ -777,8 +789,9 @@ def parse_value(text: str) -> Value:
 
 def parse_assignments(text: str) -> tuple[tuple[str, Value], ...]:
     """``X = v, Y = w, ...`` without braces; the commas are required."""
-    return _parse_all(text, lambda p: tuple(p.separated(p.binding)),
-                      "assignments")
+    seen: set[str] = set()
+    return _parse_all(text, lambda p: tuple(p.separated(
+        lambda: p.assignment(seen))), "assignments")
 
 
 # -- queries -------------------------------------------------------------------

@@ -32,6 +32,7 @@ from actualcause import (
     p,
     solve,
 )
+from actualcause import cause as cause_module
 from actualcause.cause import _FREE, SearchStats, Witness, _Engine
 from actualcause.dsl import parse_query
 from actualcause.errors import (
@@ -1204,6 +1205,29 @@ class TestRelevantScan:
                         assert (new, new_stats) == (ref, ref_stats), case
                         compared += 1
         assert compared > 500 and shared > 500, (compared, shared)
+
+    def test_full_caches_are_emptied_without_changing_a_result(
+            self, monkeypatch):
+        """With the probe cache and the clause (b) memos capped at four
+        entries, the scan still matches the reference, and neither grows
+        past its cap."""
+        monkeypatch.setattr(cause_module, "_CACHE_CAP", 4)
+        monkeypatch.setattr(cause_module, "_MEMO_CAP", 4)
+        compared = 0
+        engines = [pair for seed in range(2) for pair in itertools.chain(
+            ((label, engine) for label, engine, _ in scan_engines(seed)),
+            hub_engines(seed))]
+        for label, engine in engines:
+            for cause, fixed_w, x_override in search_cases(engine):
+                for variant in DefinitionVariant:
+                    (new, new_stats), (ref, ref_stats) = run_both(
+                        engine, cause, variant, fixed_w, x_override, False)
+                    assert (new, new_stats) == (ref, ref_stats), (
+                        label, str(cause), fixed_w, x_override, variant)
+                    compared += 1
+            assert len(engine._cache) <= 4
+            assert all(len(memo) <= 4 for memo in engine._b_memo.values())
+        assert compared > 1000, compared
 
     def test_legacy_never_consults_patterns(self):
         for seed in range(6):

@@ -88,6 +88,14 @@ class TestCheck:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_inline_context_assigning_a_variable_twice_is_exit_three(
+            self, capsys):
+        code, out, err = run(capsys, "check", corpus_path("arson_disjunctive"),
+                             "--context", "U=u10, U=u11", "--cause", "ML1=1",
+                             "--effect", "FB=1")
+        assert (code, out) == (3, "")
+        assert err == "error: 1:8: 'U' is assigned twice\n"
+
     def test_malformed_values_are_exit_three(self, capsys):
         model = corpus_path("arson_disjunctive")
         for argv in (("check", model, "--context", "u11",

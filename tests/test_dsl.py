@@ -118,6 +118,13 @@ class TestParseModel:
         with pytest.raises(DslTypeError):
             load_model(text)
 
+    def test_context_assigning_a_variable_twice_is_rejected(self):
+        text = FIRE.replace("context base { UL = 1, UML = 1 }",
+                            "context base { UL = 1, UML = 1\n UL = 0 }")
+        with pytest.raises(DslSyntaxError) as err:
+            load_model(text)
+        assert (err.value.line, err.value.column) == (12, 2)
+
     @pytest.mark.parametrize("op", [" + ", " & "])
     def test_equations_above_the_row_bound_are_spot_checked(self, op):
         # 21 binary inputs give 2^21 rows, above the exhaustive bound of 2^20
@@ -339,6 +346,14 @@ class TestParseQuery:
             loaded)
         assert doc.context_values == (("UA", 1), ("UB", 0), ("UC", 1))
         assert doc.variant is DefinitionVariant.LEGACY
+
+    def test_inline_context_assigning_a_variable_twice_is_rejected(
+            self, corpus):
+        loaded = corpus["prisoner"].loaded
+        with pytest.raises(DslSyntaxError) as err:
+            parse_query("check cause A=1 of D=1 context {UA=1, UB=0, UA=0}",
+                        loaded)
+        assert (err.value.line, err.value.column) == (1, 45)
 
     def test_unknown_context_rejected(self, corpus):
         loaded = corpus["prisoner"].loaded
