@@ -594,8 +594,10 @@ class _Engine:
                              for indices, x_used, pinned in table)
                 else:
                     found = boxes(table, steps, screened)
+                    # A screened slot before the last relevant one mixes the
+                    # boxes' positions; positions are distinct.
                     if r_mask.bit_length() - 1 > min(screened):
-                        found = sorted(found)  # positions are distinct
+                        found = sorted(found)
                 done = 0  # settings of this block already counted
                 for at, x_used, pinned in found:
                     ok = memo_get(pinned)  # None: not walked yet

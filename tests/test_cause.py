@@ -1098,8 +1098,8 @@ def hub_model(seed: int):
     """Seeded model in which many contingency sets share one set of relevant
     clamps: the effect Y reads X and a gate G, G reads the feeders F0 and F1
     (which read U), so clamping G screens both, and S reads X outside the
-    cone.  Variables are declared in a shuffled order, and each
-    is binary or 3-valued (Y always 3-valued)."""
+    cone.  Variables are declared in a shuffled order, and each is binary
+    or 3-valued (Y always 3-valued)."""
     rng = random.Random(4_000 + seed)
     parents = {"X": ("U",), "F0": ("U",), "F1": ("U",), "G": ("F0", "F1"),
                "S": ("X",), "Y": ("X", "G")}

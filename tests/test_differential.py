@@ -166,11 +166,11 @@ def family_lines(family: str) -> dict[str, list[str]]:
                 found = _call(enumerate_witnesses, query, stats=stats)
                 lines["enumerate_witnesses"].append(
                     f"{head} {cause}: {_text(found)} {stats}")
-                alternatives = [v for v in model.domain_of(cause.vars[0]).values
-                                if v != cause.values[0]]
+                xvar, xval = cause.vars[0], cause.values[0]
                 for mode, alt in itertools.product(
                         ("antecedent_strong", "antecedent_weak"),
-                        alternatives):
+                        [v for v in model.domain_of(xvar).values
+                         if v != xval]):
                     lines["contrastive_cause"].append(
                         f"{head} {cause} {mode} {alt}: " + _text(_call(
                             contrastive_cause, query, mode,
