@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .errors import (
     DisallowedActualWorld,
     EffectNotActual,
+    InvalidBound,
     NoCause,
     NotContrastive,
     NotRecursive,
@@ -186,10 +187,12 @@ def _part(part: tuple) -> tuple:
 _CODE: dict[str, tuple[CodeType, dict[int, int]]] = {}
 _CODE_CAP = 1 << 8
 _RELEVANCE_CAP = 1 << 12  # masks per kernel; a memo is emptied when full
-# Entries of an engine's probe cache and of each of its clause (b) memos;
-# either is emptied in place when full, which costs only repeated work.
+# Entries of an engine's probe cache, of each of its clause (b) memos and
+# values of the learned patterns per held key; each is emptied in place when
+# full, which costs only repeated work.
 _CACHE_CAP = 1 << 18
 _MEMO_CAP = 1 << 16
+_LEARNED_CAP = 1 << 12
 
 
 def _kernel(lines: list[str], namespace: dict
@@ -468,12 +471,15 @@ class _Engine:
 
         Outside ``legacy`` a failed walk is learned as a pattern: its
         violating slots and the pinned values there (see _b_holds).  A pinned
-        key that matches a pattern fails (b) without a walk, and a whole box
-        is dropped when a pattern that reads none of its screened slots
-        matches it.  ``legacy`` pins every W slot in its walk and keeps the
-        exact memo only.  ``settings_examined`` counts what a walk over every
-        setting would: a block adds its settings up to each yielded
-        witness's position, and the rest at its end.
+        key that matches a pattern fails (b) without a walk.  A pattern that
+        reads only slots of R fails a survivor's whole box in every W with
+        that R, so its table drops the row for good: unprobed at build, or in
+        place when read after the call has learned more patterns.  Another
+        pattern that reads no screened slot of a box drops that box.
+        ``legacy`` pins every W slot in its walk and keeps the exact memo
+        only.  ``settings_examined`` counts what a walk over every setting
+        would: a block adds its settings up to each yielded witness's
+        position, and the rest at its end.
         """
         xvars = cause.vars
         held = self.key(zip(xvars, x_override if x_override is not None
@@ -517,21 +523,30 @@ class _Engine:
                          *(self.domains[x] for x in xvars))
                      if x != cause.values]
 
-        tables: dict[tuple[int, int], list] = {}
+        tables = {}  # (R, x') -> [learnt when last filtered, survivors]
+        learnt = 0  # patterns learned by this call
+
+        def inside(r_mask):  # the learned patterns that read only R's slots
+            return [group for slots, group in learned.items()
+                    if all(r_mask >> i & 1 for i in slots)]
 
         def survivors(r_mask, base_cols, x_prime):
             """(value indices, x', pinned key) of each setting of the W slots
-            in ``r_mask`` that passes clause (a), in domain-product order;
-            every other W slot is free in the probe and ``_FREE`` in the
-            pinned key, so every W with these relevant clamps shares them."""
+            in R = ``r_mask`` that passes clause (a) and no pattern inside R,
+            in domain-product order; any other W slot is free in the probe and
+            ``_FREE`` in the pinned key, so every W with this R shares them."""
             relevant = [i for i in free if r_mask >> i & 1]
             cols, rel_pins = base_cols.copy(), held_cols.copy()
             for i in relevant:
                 cols[i], rel_pins[i] = values[i], pins[i]
+            retired = inside(r_mask)
             table = []
             for key, pinned, indices in zip(
                     itertools.product(*cols), itertools.product(*rel_pins),
                     itertools.product(*(range(sizes[i]) for i in relevant))):
+                if retired and any(get(pinned) in seen
+                                   for get, seen in retired):
+                    continue
                 if strong:
                     x_used = self._all_deviations_defeat(key, place,
                                                          deviations)
@@ -572,10 +587,15 @@ class _Engine:
             steps = None  # per relevant slot, made at the first survivor
             c_ok = parts = None  # clause (c) and the W parts, once per W
             for k, (x_prime, base_cols) in enumerate(bases):
-                table = tables.get((r_mask, k))
-                if table is None:
-                    table = tables[r_mask, k] = survivors(r_mask, base_cols,
-                                                          x_prime)
+                entry = tables.get((r_mask, k))
+                if entry is None:
+                    entry = tables[r_mask, k] = [
+                        learnt, survivors(r_mask, base_cols, x_prime)]
+                elif entry[0] != learnt and entry[1]:
+                    entry[0], retired = learnt, inside(r_mask)
+                    entry[1][:] = [row for row in entry[1] if not any(
+                        get(row[2]) in seen for get, seen in retired)]
+                table = entry[1]
                 if not table:
                     stats.settings_examined += size
                     continue
@@ -610,9 +630,13 @@ class _Engine:
                             memo.clear()
                         ok = memo[pinned] = bad is None
                         if not (ok or legacy):
+                            if sum(len(seen) for _, seen in
+                                   learned.values()) >= _LEARNED_CAP:
+                                learned.clear()
                             get, seen = learned.setdefault(bad, (
                                 itemgetter(*bad) if bad else _nothing, set()))
                             seen.add(get(pinned))
+                            learnt += 1
                     if not ok:
                         continue
                     if strong and c_ok is None:
@@ -742,6 +766,8 @@ def enumerate_causes(model: CausalModel | ExtendedCausalModel,
     Canonical order: conjunct count, then variable declaration order.  The
     search counts are added into ``stats`` when it is given.
     """
+    if max_conjuncts < 1:
+        raise InvalidBound(f"max_conjuncts {max_conjuncts} is below 1")
     engine = _Engine(model, context, effect, max_vars=max_vars)
     if not eval_event(engine.actual, effect):
         raise EffectNotActual(

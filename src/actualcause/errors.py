@@ -51,6 +51,10 @@ class SearchSpaceTooLarge(CausalityError):
     """An exhaustive enumeration would exceed its configured cap."""
 
 
+class InvalidBound(CausalityError):
+    """A search bound, such as a cause's conjunct width, is below 1."""
+
+
 class DisallowedActualWorld(CausalityError):
     """The solved actual world violates the model's allowable-settings rule."""
 

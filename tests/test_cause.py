@@ -38,6 +38,7 @@ from actualcause.dsl import parse_query
 from actualcause.errors import (
     DisallowedActualWorld,
     EffectNotActual,
+    InvalidBound,
     MissingMechanism,
     NoCause,
     NotContrastive,
@@ -271,6 +272,12 @@ class TestCauseEnumeration:
                        max_conjuncts=2)
         got = enumerate_causes(model, u, p("BS", 1), max_conjuncts=2)
         assert [str(c) for c in got] == ["ST=1", "SH=1", "BS=1"]
+
+    def test_width_below_one_is_refused(self, corpus):
+        model, u = ctx(corpus, "rock_refined", "both")
+        for width in (0, -1):
+            with pytest.raises(InvalidBound, match="is below 1"):
+                enumerate_causes(model, u, p("BS", 1), max_conjuncts=width)
 
 
 class TestActiveProcesses:
@@ -1094,6 +1101,41 @@ def dropped_boxes(engine, cause):
     return count
 
 
+def pruned_rows(engine, cause):
+    """Survivors of an ``updated`` scan's (R, x') tables that the engine's
+    learned patterns retire for good: a relevant setting that passes clause
+    (a), and a pattern that reads only slots of R and matches its pinned
+    key.  Each distinct R counts once."""
+    endo, index, values = engine.endo, engine.index, engine._values
+    held = engine.key(zip(cause.vars, cause.values))
+    groups = engine._learned.get(held, {})
+    x_mask = sum(1 << index[x] for x in cause.vars)
+    free = [i for i, v in enumerate(endo) if v not in cause.vars]
+    masks = {engine._relevant(x_mask | sum(1 << i for i in w))
+             & sum(1 << i for i in w)
+             for k in range(len(free) + 1)
+             for w in itertools.combinations(free, k)}
+    count = 0
+    for mask in masks:
+        relevant = [i for i in free if mask >> i & 1]
+        inside = [group for slots, group in groups.items()
+                  if set(slots) <= set(relevant)]
+        for x_prime in itertools.product(
+                *(engine.domains[x] for x in cause.vars)):
+            if x_prime == cause.values:
+                continue
+            for r in itertools.product(*(values[i] for i in relevant)):
+                clamps = [*zip(cause.vars, x_prime),
+                          *((endo[i], x) for i, x in zip(relevant, r))]
+                _, reached, allowed = engine.probe(engine.key(clamps))
+                pinned = list(held)
+                for i, x in zip(relevant, r):
+                    pinned[i] = x if x != engine.actual[endo[i]] else _FREE
+                count += reached and allowed and any(
+                    get(tuple(pinned)) in seen for get, seen in inside)
+    return count
+
+
 def hub_model(seed: int):
     """Seeded model in which many contingency sets share one set of relevant
     clamps: the effect Y reads X and a gate G, G reads the feeders F0 and F1
@@ -1206,13 +1248,43 @@ class TestRelevantScan:
                         compared += 1
         assert compared > 500 and shared > 500, (compared, shared)
 
+    def test_rows_that_a_pattern_inside_their_clamps_retires(self):
+        """Window and chain models of eight variables, where learned patterns
+        that read only a table's relevant clamps retire some of its rows:
+        every variant, drained and stopped at the first witness, matches the
+        reference, over every contingency set, fixed ones and an alternative
+        cause value."""
+        compared = pruned = 0
+        for make, seed in itertools.product((window_model, chain_model),
+                                            range(3)):
+            model = make(seed, 8)
+            endo, context = model.endogenous, {"U": seed % 2}
+            actual = solve(model, context)
+            engine = _Engine(model, context, p(endo[-1], actual[endo[-1]]))
+            cause = cause_of(p(endo[0], actual[endo[0]]))
+            free = endo[1:]
+            cases = [(None, None, first_only) for first_only in (False, True)]
+            cases += [(w, None, first_only) for w in (free[::2], free[1::3])
+                      for first_only in (False, True)]
+            cases.append((None, (1 - actual[endo[0]],), False))
+            for (fixed_w, x_override, first_only), variant in (
+                    itertools.product(cases, DefinitionVariant)):
+                (new, new_stats), (ref, ref_stats) = run_both(
+                    engine, cause, variant, fixed_w, x_override, first_only)
+                assert (new, new_stats) == (ref, ref_stats), (
+                    model.name, fixed_w, x_override, variant, first_only)
+                compared += 1
+            pruned += pruned_rows(engine, cause)
+        assert compared == 6 * 7 * 3 and pruned > 0, pruned
+
     def test_full_caches_are_emptied_without_changing_a_result(
             self, monkeypatch):
-        """With the probe cache and the clause (b) memos capped at four
-        entries, the scan still matches the reference, and neither grows
-        past its cap."""
+        """With the probe cache, the clause (b) memos and the learned
+        patterns of each held key capped at four entries, the scan still
+        matches the reference, and none grows past its cap."""
         monkeypatch.setattr(cause_module, "_CACHE_CAP", 4)
         monkeypatch.setattr(cause_module, "_MEMO_CAP", 4)
+        monkeypatch.setattr(cause_module, "_LEARNED_CAP", 4)
         compared = 0
         engines = [pair for seed in range(2) for pair in itertools.chain(
             ((label, engine) for label, engine, _ in scan_engines(seed)),
@@ -1227,6 +1299,8 @@ class TestRelevantScan:
                     compared += 1
             assert len(engine._cache) <= 4
             assert all(len(memo) <= 4 for memo in engine._b_memo.values())
+            assert all(sum(len(seen) for _, seen in groups.values()) <= 4
+                       for groups in engine._learned.values())
         assert compared > 1000, compared
 
     def test_legacy_never_consults_patterns(self):

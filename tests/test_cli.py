@@ -191,6 +191,14 @@ class TestOtherCommands:
         assert code == 3
         assert "actual world" in err
 
+    def test_causes_width_below_one_is_exit_three(self, capsys):
+        for width in ("0", "-1"):
+            code, out, err = run(capsys, "causes", corpus_path("rock_refined"),
+                                 "--context", "both", "--effect", "BS=1",
+                                 "--max-conjuncts", width)
+            assert code == 3 and not out, width
+            assert err.startswith("error:") and "max_conjuncts" in err
+
     def test_eval_and_trace(self, capsys):
         code, out, _ = run(capsys, "eval", corpus_path("arson_conjunctive"),
                            "--context", "u11",

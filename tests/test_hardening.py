@@ -32,7 +32,7 @@ from actualcause import (
     submodel,
 )
 from actualcause.dsl import parse_query
-from actualcause.errors import DisallowedActualWorld
+from actualcause.errors import DisallowedActualWorld, InvalidBound
 from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
 from actualcause.queries import run_query
 from conftest import mixed_domain_model, random_recursive_model
@@ -247,6 +247,12 @@ class TestQueryRunnerKinds:
         outcome = run_query(loaded, parse_query(
             "causes of P=1 context both exclude_self max_conjuncts 2", loaded))
         assert [str(c) for c in outcome.causes] == ["V1=1", "V2=1", "M=2"]
+
+    def test_causes_query_with_width_zero_is_refused(self, corpus):
+        loaded = corpus["rock_refined"].loaded
+        doc = parse_query("causes of BS=1 context both max_conjuncts 0", loaded)
+        with pytest.raises(InvalidBound):
+            run_query(loaded, doc)
 
     def test_contrast_rather_weak_query(self, corpus):
         loaded = corpus["merlin_coarse"].loaded
