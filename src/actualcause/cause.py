@@ -180,11 +180,12 @@ def _part(part: tuple) -> tuple:
 
 
 # Compiled probe kernels by source text, each beside its memo of relevant
-# clamps per clamp mask (see _Engine._relevant).  A source holds only slot
-# numbers and generated names, so engines over models and formulas of the same
-# shape share one code object and one memo whatever their tables and values;
+# clamps per clamp mask (see _Engine._relevant) and its reach masks per slot
+# (see _Engine._b_holds).  A source holds only slot numbers and generated
+# names, so engines over models and formulas of the same shape share one code
+# object, one memo and one reach list whatever their tables and values;
 # emptied when full.
-_CODE: dict[str, tuple[CodeType, dict[int, int]]] = {}
+_CODE: dict[str, tuple[CodeType, dict[int, int], list[int]]] = {}
 _CODE_CAP = 1 << 8
 _RELEVANCE_CAP = 1 << 12  # masks per kernel; a memo is emptied when full
 # Entries of an engine's probe cache, of each of its clause (b) memos and
@@ -195,16 +196,16 @@ _MEMO_CAP = 1 << 16
 _LEARNED_CAP = 1 << 12
 
 
-def _kernel(lines: list[str], namespace: dict
-            ) -> tuple[Callable[[tuple], tuple], dict[int, int]]:
+def _kernel(lines: list[str], namespace: dict, reach: Callable[[], list[int]]
+            ) -> tuple[Callable[[tuple], tuple], dict[int, int], list[int]]:
     source = "def probe(key):\n " + "\n ".join(lines)
     entry = _CODE.get(source)
     if entry is None:
         if len(_CODE) >= _CODE_CAP:
             _CODE.clear()
         entry = _CODE[source] = (
-            compile(source, "<probe>", "exec").co_consts[0], {})
-    return FunctionType(entry[0], namespace), entry[1]
+            compile(source, "<probe>", "exec").co_consts[0], {}, reach())
+    return FunctionType(entry[0], namespace), entry[1], entry[2]
 
 
 def _emit(formula: Formula, slot: Mapping[str, int], lines: list[str],
@@ -276,6 +277,8 @@ class _Engine:
                  cause: CandidateCause | None = None, *,
                  defeat: Formula | None = None,
                  max_vars: int = DEFAULT_MAX_VARS):
+        if max_vars < 1:
+            raise InvalidBound(f"max_vars {max_vars} is below 1")
         allowable = None
         if isinstance(model, ExtendedCausalModel):
             model, allowable = model.base, model.allowable
@@ -352,7 +355,15 @@ class _Engine:
                  else f"bool(A(dict(zip(ENDO, {slots}))))")
         lines += ["if len(CACHE) >= CAP:", " CACHE.clear()",
                   f"CACHE[key] = r = OUT[h, {goal}, {allow}]", "return r"]
-        self.probe, self._relevance = _kernel(lines, ns)
+
+        def reach():  # per slot, its strict descendants in the cone
+            masks = dict.fromkeys(self.endo, 0)
+            for v in reversed(model.order):  # children first
+                for d in model.parents[v] if v in cone else ():
+                    if d in masks:
+                        masks[d] |= masks[v] | 1 << self.index[v]
+            return list(masks.values())
+        self.probe, self._relevance, self._reach = _kernel(lines, ns, reach)
         if not self.probe(self._unclamped)[2]:
             raise DisallowedActualWorld(
                 "the solved actual world violates the allowable-settings rule")
@@ -398,43 +409,60 @@ class _Engine:
                  legacy: bool) -> tuple[int, ...] | None:
         """Clause (b): pinning any subset of W at w' and any subset of the
         process side at its actual values must keep the effect true.  Returns
-        None when it does, else the slots of the first violating subset.
+        None when it does, else the sorted slots of a violating subset.
 
-        ``held`` clamps the cause variables to their actual values, so
-        subsets of Z are taken over Z minus X; pinning a cause variable again
-        would repeat the same value.  ``pinned`` fixes the walk: it adds to
+        ``held`` clamps the cause variables to the values that (b) restores,
+        so subsets of Z are taken over Z minus X; pinning a cause variable
+        again would only repeat a clamp.  ``pinned`` fixes the walk: it adds to
         ``held`` every W-pin under the legacy reading, which applies only the
         full contingency set, else only the pins off their actual values.
 
-        Because every optional variable contributes exactly one pinned pair
-        (contingency variables at w', process variables at their actuals),
-        the pair (W', Z') ranges bijectively over subsets of one combined
-        option list of (slot, value) pairs over the ``free`` slots, in
-        declaration order.  So outside ``legacy``, ``pinned``'s values at the
-        violating slots (a w' pin, or ``_FREE`` for a pin at its actual value)
-        name the violating scenario, and every pinned key of the same
-        ``held`` that agrees with them there holds it in its own walk.  The
-        quantifier is universal, so the walk order is free; subsets are
-        visited smallest-first, which finds violations early.
+        A clamp deviates when its value is not actual: a held cause value, a
+        W pin of the subset, and under ``legacy`` every W pin of ``pinned``.
+        By induction over the model's order, a variable that is no strict
+        descendant of a deviating clamp keeps its actual value, so pinning it
+        there solves to the same world, and nothing reads a pin outside the
+        cone.  So for each subset of the W pins, smallest first, the walk
+        pins at their actual values only subsets of the slots that its
+        deviating clamps reach (their strict descendants in the cone), and
+        each skipped scenario has the outcome of a visited one.
+        Outside ``legacy``, ``pinned``'s values at the violating slots (a w'
+        pin, or ``_FREE`` for a pin at its actual value) name the violating
+        scenario, which lies in the full walk of every pinned key of the same
+        ``held`` that agrees with them there.
         """
         if legacy:
             held = pinned
-        actual, probe = self._actual_slots, self.probe
-        options = [actual[i] if pinned[i] is _FREE else (i, pinned[i])
-                   for i in free if not legacy or pinned[i] is _FREE]
-        for k in range(len(options) + 1):
-            for combo in itertools.combinations(options, k):
-                slots = list(held)
-                for i, value in combo:
+        actual, reach, probe = self._actual_slots, self._reach, self.probe
+        base = 0
+        for (i, value), h in zip(actual, held):
+            if h is not _FREE and h != value:
+                base |= reach[i]
+        moved = [] if legacy else [(i, pinned[i]) for i in free
+                                   if pinned[i] is not _FREE]
+        still = [actual[i] for i in free if pinned[i] is _FREE]
+        for k in range(len(moved) + 1):
+            for moves in itertools.combinations(moved, k):
+                mask, slots = base, list(held)
+                for i, value in moves:
+                    mask |= reach[i]
                     slots[i] = value
-                holds, _, allowed = probe(tuple(slots))
-                if allowed and not holds:
-                    return tuple([i for i, _ in combo])
+                options = [pin for pin in still if mask >> pin[0] & 1]
+                for j in range(len(options) + 1):
+                    for pins in itertools.combinations(options, j):
+                        key = slots.copy()
+                        for i, value in pins:
+                            key[i] = value
+                        holds, _, allowed = probe(tuple(key))
+                        if allowed and not holds:
+                            return tuple(sorted(
+                                [i for i, _ in moves + pins]))
         return None
 
-    def _c_holds(self, held: tuple, w: tuple[int, ...]) -> bool:
+    def _c_holds(self, held: tuple, w: list[int]) -> bool:
         """Clause (c): X=x forces the effect no matter how the slots ``w``
-        of W are set."""
+        of W are set.  Only W's relevant slots need passing: a screened one
+        cannot change a probe (see _relevant)."""
         for key in itertools.product(*(self._values[i] if i in w else (h,)
                                        for i, h in enumerate(held))):
             holds, _, allowed = self.probe(key)
@@ -640,7 +668,8 @@ class _Engine:
                     if not ok:
                         continue
                     if strong and c_ok is None:
-                        c_ok = self._c_holds(held, w)
+                        c_ok = self._c_holds(held, [
+                            i for i in w if r_mask >> i & 1])
                     if strong and not c_ok:
                         break
                     stats.settings_examined += at + 1 - done

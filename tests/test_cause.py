@@ -33,7 +33,7 @@ from actualcause import (
     solve,
 )
 from actualcause import cause as cause_module
-from actualcause.cause import _FREE, SearchStats, Witness, _Engine
+from actualcause.cause import _FREE, SearchStats, Witness, _Engine, _verdict
 from actualcause.dsl import parse_query
 from actualcause.errors import (
     DisallowedActualWorld,
@@ -90,6 +90,14 @@ class TestWeakCause:
                            max_vars=4)
         with pytest.raises(SearchSpaceTooLarge):
             is_weak_cause(query)
+
+    def test_variable_cap_below_one_is_refused(self, corpus):
+        model, u = ctx(corpus, "rock_refined", "both")
+        for cap in (0, -1):
+            query = CauseQuery(model, u, cause_of(p("ST", 1)), p("BS", 1),
+                               max_vars=cap)
+            with pytest.raises(InvalidBound, match=f"max_vars {cap} is "):
+                is_actual_cause(query)
 
 
 class TestActualCause:
@@ -980,7 +988,7 @@ def reference_witnesses(engine, cause, variant, stats, fixed_w=None,
 
 
 def scan_engines(seed):
-    """(label, engine, effect) triples over one seeded model, by seed modulo
+    """(label, engine, target) triples over one seeded model, by seed modulo
     3: a mixed_domain_model (2-3-valued), a binary window_model or a binary
     random_recursive_model, of up to 5 variables; plain, with an allow
     formula, a frozenset and a callable allowable, with a contrasted outcome
@@ -1015,7 +1023,7 @@ def scan_engines(seed):
             engine = _Engine(target, context, goal, defeat=defeat)
         except DisallowedActualWorld:
             continue
-        yield f"seed {seed} {label}", engine, goal
+        yield f"seed {seed} {label}", engine, target
 
 
 def search_cases(engine):
@@ -1161,8 +1169,8 @@ def hub_model(seed: int):
 
 
 def hub_engines(seed):
-    """(label, engine) pairs over hub_model(seed): plain, with an allow
-    formula over the gate, and with a contrasted outcome as the goal."""
+    """(label, engine, target) triples over hub_model(seed): plain, with an
+    allow formula over the gate, and with a contrasted outcome as the goal."""
     model = hub_model(seed)
     context = {"U": seed % 2}
     actual = solve(model, context)
@@ -1174,7 +1182,7 @@ def hub_engines(seed):
             ("formula", ExtendedCausalModel(model, allow), None),
             ("defeat", model, p("Y", other))):
         yield f"hub {seed} {label}", _Engine(target, context, effect,
-                                             defeat=defeat)
+                                             defeat=defeat), target
 
 
 class _Tripwire:
@@ -1218,7 +1226,7 @@ class TestRelevantScan:
         fixed contingency set and with an alternative cause value."""
         compared = shared = 0
         for seed in range(3):
-            for label, engine in hub_engines(seed):
+            for label, engine, _ in hub_engines(seed):
                 actual, index = engine.actual, engine.index
                 for names in (("X",), ("G",), ("F0",), ("X", "G")):
                     cause = cause_of(*(p(v, actual[v]) for v in names))
@@ -1286,9 +1294,9 @@ class TestRelevantScan:
         monkeypatch.setattr(cause_module, "_MEMO_CAP", 4)
         monkeypatch.setattr(cause_module, "_LEARNED_CAP", 4)
         compared = 0
-        engines = [pair for seed in range(2) for pair in itertools.chain(
-            ((label, engine) for label, engine, _ in scan_engines(seed)),
-            hub_engines(seed))]
+        engines = [(label, engine) for seed in range(2)
+                   for label, engine, _ in itertools.chain(
+                       scan_engines(seed), hub_engines(seed))]
         for label, engine in engines:
             for cause, fixed_w, x_override in search_cases(engine):
                 for variant in DefinitionVariant:
@@ -1400,6 +1408,108 @@ class TestRelevantScan:
                                     seed, clamps, changed)
                                 checked += 1
         assert checked > 5000
+
+
+def reference_b_holds(engine, pinned, held, free, legacy):
+    """The full clause (b) walk, kept as the reference for _Engine._b_holds:
+    every subset of one combined option list, smallest first, with a w' pin
+    or a pin at the actual value per free slot (under ``legacy`` every W pin
+    is held and only the actual-value pins are optional).  Returns the slots
+    of the first violating subset, or None."""
+    if legacy:
+        held = pinned
+    options = [(i, engine.actual[engine.endo[i]]) if pinned[i] is _FREE
+               else (i, pinned[i])
+               for i in free if not legacy or pinned[i] is _FREE]
+    for k in range(len(options) + 1):
+        for combo in itertools.combinations(options, k):
+            slots = list(held)
+            for i, value in combo:
+                slots[i] = value
+            holds, _, allowed = engine.probe(tuple(slots))
+            if allowed and not holds:
+                return tuple(i for i, _ in combo)
+    return None
+
+
+def allows(target, world):
+    """The allow rule of ``target`` (a model, or an extended model with an
+    allow formula, set or predicate) on a solved world."""
+    rule = getattr(target, "allowable", None)
+    if rule is None:
+        return True
+    if isinstance(rule, frozenset):
+        return tuple(world[v] for v in target.base.endogenous) in rule
+    return bool(rule(world)) if callable(rule) else eval_event(world, rule)
+
+
+def true_chain(n: int):
+    """Binary chain U -> C0 -> ... -> C(n-1) of copies, so that C0=1 is an
+    actual cause of C(n-1)=1 in context U=1 with the empty contingency set."""
+    names = [f"C{i}" for i in range(n)]
+    mechanisms = [Mechanism.from_table(var, (prev,), {(0,): 0, (1,): 1})
+                  for prev, var in zip(["U", *names], names)]
+    ranges = {v: Domain((0, 1)) for v in ("U", *names)}
+    return build_model(Signature(("U",), tuple(names), ranges), mechanisms)
+
+
+class TestReachWalk:
+    """_Engine._b_holds pins at their actual values only the variables that
+    a deviating clamp reaches; it must agree with the full walk."""
+
+    def test_pruned_walk_matches_the_full_walk(self):
+        """Every cause slot at every value, every pinned key, under the
+        updated and the legacy reading: the same verdict as the full walk,
+        and every violating subset fails clause (b) when replayed through
+        solve, eval_event and the allow rule."""
+        compared, violated = 0, {False: 0, True: 0}
+        for seed in range(4):
+            for label, engine, target in itertools.chain(
+                    scan_engines(seed), hub_engines(seed)):
+                endo, actual = engine.endo, engine.actual
+                model = getattr(target, "base", target)
+                for c, var in enumerate(endo):
+                    free = tuple(i for i in range(len(endo)) if i != c)
+                    for value, legacy in itertools.product(
+                            engine.domains[var], (False, True)):
+                        held = engine.key([(var, value)])
+                        columns = [(h,) if i == c else (_FREE, *(
+                            x for x in engine._values[i]
+                            if legacy or x != actual[endo[i]]))
+                            for i, h in enumerate(held)]
+                        for pinned in itertools.product(*columns):
+                            bad = engine._b_holds(pinned, held, free, legacy)
+                            full = reference_b_holds(engine, pinned, held,
+                                                     free, legacy)
+                            case = (label, var, value, pinned, legacy)
+                            assert (bad is None) == (full is None), case
+                            compared += 1
+                            if bad is None:
+                                continue
+                            violated[legacy] += 1
+                            assert list(bad) == sorted(set(bad)), case
+                            clamps = {endo[i]: x for i, x in enumerate(
+                                pinned if legacy else held) if x is not _FREE}
+                            clamps.update(
+                                (endo[i], actual[endo[i]] if pinned[i] is _FREE
+                                 else pinned[i]) for i in bad)
+                            world = solve(model, engine.context, clamps)
+                            assert allows(target, world), case
+                            assert not eval_event(world, engine.effect), case
+        assert compared > 50_000 and min(violated.values()) > 1_000, (
+            compared, violated)
+
+    def test_true_cause_on_a_chain_walks_once(self):
+        """C0=1 causes C15=1 on a 16-variable chain of copies: no clamp
+        deviates in clause (b), so its walk is one probe, not 2^15."""
+        model = true_chain(16)
+        for variant in DefinitionVariant:
+            engine = _Engine(model, {"U": 1}, p("C15", 1), max_vars=64)
+            verdict = _verdict(engine, cause_of(p("C0", 1)), variant)
+            stats = verdict.stats
+            assert (verdict.overall, stats.partitions_examined,
+                    stats.settings_examined) == (True, 1, 1), variant
+            assert len(engine._cache) <= 16, (variant, len(engine._cache))
 
 
 def test_search_stats_is_exported():

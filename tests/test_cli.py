@@ -53,6 +53,15 @@ class TestCheck:
         assert code == 2
         assert "max_vars" in err
 
+    def test_variable_cap_below_one_is_exit_three(self, capsys):
+        for cap in ("0", "-1"):
+            code, out, err = run(capsys, "witnesses",
+                                 corpus_path("rock_refined"), "--context",
+                                 "both", "--cause", "ST=1", "--effect", "BS=1",
+                                 "--max-vars", cap)
+            assert code == 3 and not out, cap
+            assert err == f"error: max_vars {cap} is below 1\n", cap
+
     def test_definition_flag_switches_variants(self, capsys):
         code, _, _ = run(capsys, "check", corpus_path("prisoner"),
                          "--context", "base", "--cause", "A=1",
