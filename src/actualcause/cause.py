@@ -405,8 +405,17 @@ class _Engine:
             self._relevance[mask] = rel
         return rel
 
+    def _deviation(self, held: tuple) -> int:
+        """The reach of the clamps in ``held`` off their actual values."""
+        base = 0
+        for (i, value), h in zip(self._actual_slots, held):
+            if h is not _FREE and h != value:
+                base |= self._reach[i]
+        return base
+
     def _b_holds(self, pinned: tuple, held: tuple, free: tuple[int, ...],
-                 legacy: bool) -> tuple[int, ...] | None:
+                 legacy: bool, base: int | None = None
+                 ) -> tuple[int, ...] | None:
         """Clause (b): pinning any subset of W at w' and any subset of the
         process side at its actual values must keep the effect true.  Returns
         None when it does, else the sorted slots of a violating subset.
@@ -429,15 +438,15 @@ class _Engine:
         Outside ``legacy``, ``pinned``'s values at the violating slots (a w'
         pin, or ``_FREE`` for a pin at its actual value) name the violating
         scenario, which lies in the full walk of every pinned key of the same
-        ``held`` that agrees with them there.
+        ``held`` that agrees with them there.  ``base``, the reach of the
+        held deviations (see _deviation), is the same for every walk of one
+        ``held``, so a caller may pass it; under ``legacy`` it is computed.
         """
         if legacy:
             held = pinned
+        if legacy or base is None:
+            base = self._deviation(held)
         actual, reach, probe = self._actual_slots, self._reach, self.probe
-        base = 0
-        for (i, value), h in zip(actual, held):
-            if h is not _FREE and h != value:
-                base |= reach[i]
         moved = [] if legacy else [(i, pinned[i]) for i in free
                                    if pinned[i] is not _FREE]
         still = [actual[i] for i in free if pinned[i] is _FREE]
@@ -447,7 +456,9 @@ class _Engine:
                 for i, value in moves:
                     mask |= reach[i]
                     slots[i] = value
-                options = [pin for pin in still if mask >> pin[0] & 1]
+                # An empty reach holds no pin: the walk is one probe.
+                options = [pin for pin in still if mask >> pin[0] & 1] if (
+                    mask) else ()
                 for j in range(len(options) + 1):
                     for pins in itertools.combinations(options, j):
                         key = slots.copy()
@@ -514,6 +525,7 @@ class _Engine:
                             else cause.values))
         legacy = variant is DefinitionVariant.LEGACY
         strong = variant is DefinitionVariant.STRONG
+        base = None if legacy else self._deviation(held)  # see _b_holds
         memo = self._b_memo.setdefault((legacy, xvars), {})
         learned = {} if legacy else self._learned.setdefault(held, {})
         endo, values, probe, memo_get = (self.endo, self._values, self.probe,
@@ -653,7 +665,7 @@ class _Engine:
                         if learned and any(get(pinned) in seen
                                            for get, seen in learned.values()):
                             continue
-                        bad = self._b_holds(pinned, held, free, legacy)
+                        bad = self._b_holds(pinned, held, free, legacy, base)
                         if len(memo) >= _MEMO_CAP:
                             memo.clear()
                         ok = memo[pinned] = bad is None

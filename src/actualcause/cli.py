@@ -15,8 +15,7 @@ from typing import Sequence
 
 from .cause import DEFAULT_MAX_VARS, DefinitionVariant
 from .dsl import (
-    LoadedModel,
-    QueryDocument,
+    build_query,
     load_model,
     parse_assignments,
     parse_causal_formula,
@@ -92,51 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> LoadedModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_model(handle.read())
-
-
-def _document(args: argparse.Namespace, loaded: LoadedModel) -> QueryDocument:
-    model = loaded.model
-    context_name = None
-    context_values = None
-    if "=" in args.context:
-        context_values = parse_assignments(args.context)
-    else:
-        context_name = args.context.strip()
-        loaded.context(context_name)  # fail early with a clear message
-
-    kind = args.command
-    cause = effect = formula = None
-    contrast_mode = None
-    effect_alternative = None
-    value_alternative = None
-    if getattr(args, "cause", None):
-        cause = parse_conjunction(args.cause, model)
-    if getattr(args, "effect", None):
-        effect = parse_event_formula(args.effect, model)
-    if getattr(args, "formula", None):
-        formula = parse_causal_formula(args.formula, model)
-    if kind == "contrast":
-        if args.against is not None:
-            contrast_mode = "consequent"
-            effect_alternative = parse_event_formula(args.against, model)
-        else:
-            contrast_mode = "antecedent_weak" if args.weak else "antecedent_strong"
-            value_alternative = parse_value(args.rather)
-
-    return QueryDocument(kind=kind, model_name=model.name or "",
-                         context_name=context_name,
-                         context_values=context_values,
-                         cause=cause, effect=effect, formula=formula,
-                         contrast_mode=contrast_mode,
-                         effect_alternative=effect_alternative,
-                         value_alternative=value_alternative,
-                         variant=DefinitionVariant(args.definition),
-                         extended=args.extended,
-                         exclude_self=getattr(args, "exclude_self", False),
-                         max_conjuncts=getattr(args, "max_conjuncts", 1))
+# Each query argument, the QueryDocument field it fills, and the grammar rule
+# that parses it on its own, so that a syntax error's position is relative to
+# the argument; build_query then checks the pieces against the model.
+_ARGUMENTS = (("cause", "cause", parse_conjunction),
+              ("effect", "effect", parse_event_formula),
+              ("formula", "formula", parse_causal_formula),
+              ("against", "effect_alternative", parse_event_formula),
+              ("rather", "value_alternative", parse_value))
 
 
 def _witness_json(witness) -> dict:
@@ -228,19 +190,31 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        loaded = _load(args.model)
-    except OSError as exc:
-        print(f"error: cannot read model: {exc}", file=sys.stderr)
-        return 3
-    except CausalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        doc = _document(args, loaded)
+        with open(args.model, "r", encoding="utf-8") as handle:
+            loaded = load_model(handle.read())
+        if "=" in args.context:
+            pieces = {"context_values": parse_assignments(args.context)}
+        else:
+            pieces = {"context_name": args.context.strip()}
+        for name, field, rule in _ARGUMENTS:
+            if getattr(args, name, None) is not None:
+                pieces[field] = rule(getattr(args, name))
+        if args.command == "contrast":
+            pieces["contrast_mode"] = (
+                "consequent" if args.against is not None
+                else "antecedent_weak" if args.weak else "antecedent_strong")
+        doc = build_query(loaded, args.command,
+                          variant=DefinitionVariant(args.definition),
+                          extended=args.extended,
+                          exclude_self=getattr(args, "exclude_self", False),
+                          max_conjuncts=getattr(args, "max_conjuncts", 1),
+                          **pieces)
         started = time.perf_counter()
         outcome = run_query(loaded, doc, max_vars=args.max_vars)
         wall_ms = (time.perf_counter() - started) * 1000.0
+    except OSError as exc:
+        print(f"error: cannot read model: {exc}", file=sys.stderr)
+        return 3
     except SearchSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,7 +58,11 @@ class ExampleCase:
     key: str
     text: str
     loaded: LoadedModel
-    golden: tuple[GoldenRow, ...]
+
+    @property
+    def golden(self) -> tuple[GoldenRow, ...]:
+        """This example's golden rows, read from golden.tsv when asked for."""
+        return expected_verdicts(self.key)
 
 
 def _data(name: str) -> str:
@@ -87,9 +91,7 @@ def _golden_rows() -> list[GoldenRow]:
 def load_example(key: str) -> ExampleCase:
     """Load and validate one example; raises UnknownExample for bad keys."""
     text = example_text(key)
-    loaded = load_model(text)
-    golden = tuple(r for r in _golden_rows() if r.key == key)
-    return ExampleCase(key, text, loaded, golden)
+    return ExampleCase(key, text, load_model(text))
 
 
 def expected_verdicts(key: str) -> tuple[GoldenRow, ...]:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 from . import formula as fm
@@ -62,6 +63,7 @@ from .model import (
     Mechanism,
     Signature,
     Value,
+    _check_context,
     build_model,
 )
 
@@ -715,30 +717,27 @@ def build_document(doc: ModelDocument) -> LoadedModel:
                                    stmt.line, stmt.column) from None
 
     contexts: dict[str, dict[str, Value]] = {}
-    exo_set = set(exo)
     for ctx in doc.contexts:
         if ctx.name in contexts:
             raise DslTypeError(f"two contexts named {ctx.name!r}",
                                ctx.line, ctx.column)
-        values: dict[str, Value] = {}
-        for var, value in ctx.items:
-            if var not in exo_set:
-                raise UnknownIdentifier(
-                    f"context {ctx.name} assigns non-exogenous {var!r}",
-                    ctx.line, ctx.column)
-            if value not in ranges[var]:
-                raise DslTypeError(
-                    f"context value {value!r} outside domain of {var}",
-                    ctx.line, ctx.column)
-            values[var] = value
-        for var in exo:
-            if var not in values:
-                raise DslTypeError(
-                    f"context {ctx.name} does not assign exogenous {var!r}",
-                    ctx.line, ctx.column)
-        contexts[ctx.name] = values
+        contexts[ctx.name] = _context(model, ctx.items, f"context {ctx.name}",
+                                      ctx.line, ctx.column)
 
     return LoadedModel(doc, model, allow, contexts)
+
+
+def _context(model: CausalModel, items: tuple[tuple[str, Value], ...],
+             label: str, line: int, column: int) -> dict[str, Value]:
+    """``items`` as a context of ``model``, checked by the model's context
+    routine; its faults are raised as diagnostics at ``line``:``column``."""
+    context = dict(items)
+    at = {"line": line, "column": column}
+    _check_context(model, context, label,
+                   unknown=partial(UnknownIdentifier, **at),
+                   outside=partial(DslTypeError, **at),
+                   missing=partial(DslTypeError, **at))
+    return context
 
 
 def load_model(text: str) -> LoadedModel:
@@ -797,130 +796,103 @@ def parse_assignments(text: str) -> tuple[tuple[str, Value], ...]:
 # -- queries -------------------------------------------------------------------
 
 def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
-    """Parse and type-check one query against a loaded model."""
+    """Parse one query and type-check it against a loaded model with
+    build_query, which reports model faults at the query keyword."""
     parser = _Parser(tokenize(text))
-    model = loaded.model
     kind_tok = parser.ident("a query keyword")
     kind = kind_tok.text
+    pieces: dict = {}
 
-    cause = effect = formula = None
-    contrast_mode = None
-    effect_alternative = None
-    value_alternative = None
-
-    if kind == "check":
-        parser.keyword("cause")
-        cause = parser.conjunction()
+    if kind == "eval":
+        pieces["formula"] = parser.formula(causal=True)
+    elif kind in ("check", "causes", "witnesses", "process", "contrast"):
+        if kind != "causes":
+            parser.keyword("for" if kind in ("witnesses", "process")
+                           else "cause")
+            pieces["cause"] = parser.conjunction()
         parser.keyword("of")
-        effect = parser.formula()
-    elif kind == "causes":
-        parser.keyword("of")
-        effect = parser.formula()
-    elif kind in ("witnesses", "process"):
-        parser.keyword("for")
-        cause = parser.conjunction()
-        parser.keyword("of")
-        effect = parser.formula()
-    elif kind == "eval":
-        formula = parser.formula(causal=True)
-    elif kind == "contrast":
-        parser.keyword("cause")
-        cause = parser.conjunction()
-        parser.keyword("of")
-        effect = parser.formula()
-        if parser.at_keyword("vs"):
-            parser.advance()
-            contrast_mode = "consequent"
-            effect_alternative = parser.formula()
-        elif parser.at_keyword("rather"):
-            parser.advance()
-            contrast_mode = "antecedent_strong"
-            value_alternative = parser.value()
-            if parser.at_keyword("weak"):
-                parser.advance()
-                contrast_mode = "antecedent_weak"
-        else:
-            parser.fail("'vs' or 'rather'")
+        pieces["effect"] = parser.formula()
     else:
         raise DslSyntaxError(
             f"unknown query kind {kind!r}; expected check, causes, witnesses, "
             f"process, eval, or contrast", kind_tok.line, kind_tok.column)
+    if kind == "contrast":
+        if parser.at_keyword("vs"):
+            parser.advance()
+            pieces["contrast_mode"] = "consequent"
+            pieces["effect_alternative"] = parser.formula()
+        elif parser.at_keyword("rather"):
+            parser.advance()
+            pieces["contrast_mode"] = "antecedent_strong"
+            pieces["value_alternative"] = parser.value()
+            if parser.at_keyword("weak"):
+                parser.advance()
+                pieces["contrast_mode"] = "antecedent_weak"
+        else:
+            parser.fail("'vs' or 'rather'")
 
-    context_name = None
-    context_values = None
-    variant = DefinitionVariant.UPDATED
-    extended = False
-    exclude_self = False
-    max_conjuncts = 1
     while parser.here.kind != "eof":
         tok = parser.ident("'context' or an option keyword")
         if tok.text == "context":
-            if context_name is not None or context_values is not None:
+            if "context_name" in pieces or "context_values" in pieces:
                 raise DslSyntaxError("duplicate context clause",
                                      tok.line, tok.column)
             if parser.here.kind == "{":
-                context_values = parser.assignments()
+                pieces["context_values"] = parser.assignments()
             else:
-                context_name = parser.ident("a context name").text
+                pieces["context_name"] = parser.ident("a context name").text
         elif tok.text == "variant":
             word = parser.ident("updated, legacy, or strong")
             try:
-                variant = DefinitionVariant(word.text)
+                pieces["variant"] = DefinitionVariant(word.text)
             except ValueError:
                 raise DslSyntaxError(f"unknown variant {word.text!r}",
                                      word.line, word.column) from None
         elif tok.text == "extended":
-            extended = True
+            pieces["extended"] = True
         elif tok.text == "exclude_self":
-            exclude_self = True
+            pieces["exclude_self"] = True
         elif tok.text == "max_conjuncts":
             count = parser.expect("int", "a conjunct count")
-            max_conjuncts = int(count.text)
+            pieces["max_conjuncts"] = int(count.text)
         else:
             raise DslSyntaxError(f"unknown option {tok.text!r}",
                                  tok.line, tok.column)
-    if context_name is None and context_values is None:
+    if "context_name" not in pieces and "context_values" not in pieces:
         parser.fail("a 'context' clause")
-
     # resolve and type-check against the model
-    if context_name is not None and context_name not in loaded.contexts:
+    return build_query(loaded, kind, kind_tok.line, kind_tok.column, **pieces)
+
+
+def build_query(loaded: LoadedModel, kind: str, line: int = 0,
+                column: int = 0, **pieces) -> QueryDocument:
+    """The one query builder: type-check the parsed ``pieces`` of a query
+    (the QueryDocument fields after the model name) against a loaded model
+    and return its document.  A named context must be declared, and an
+    inline one must pass the model's context check; those faults, a causal
+    formula's and a contrast value outside the cause's domain are reported
+    at ``line``:``column``, and a cause's or effect's at 0:0."""
+    doc = QueryDocument(kind, loaded.model.name or "", **pieces)
+    model = loaded.model
+    if doc.context_name is not None and \
+            doc.context_name not in loaded.contexts:
         raise UnknownIdentifier(f"model {model.name!r} declares no context "
-                                f"{context_name!r}", kind_tok.line,
-                                kind_tok.column)
-    if context_values is not None:
-        exo = set(model.exogenous)
-        for var, value in context_values:
-            if var not in exo:
-                raise UnknownIdentifier(f"{var!r} is not exogenous",
-                                        kind_tok.line, kind_tok.column)
-            if value not in model.domain_of(var):
-                raise DslTypeError(f"{value!r} outside domain of {var}",
-                                   kind_tok.line, kind_tok.column)
-    for f in (effect, effect_alternative):
+                                f"{doc.context_name!r}", line, column)
+    if doc.context_values is not None:
+        _context(model, doc.context_values, "context", line, column)
+    for f in (doc.effect, doc.effect_alternative):
         if f is not None:
             _checked(f, model)
-    if cause is not None:
-        _checked(cause.as_formula(), model)
-    if formula is not None:
-        _checked(formula, model, fm.validate_causal_formula, kind_tok.line,
-                 kind_tok.column)
-    if value_alternative is not None and cause is not None:
-        if len(cause.events) == 1 and \
-                value_alternative not in model.domain_of(cause.events[0].var):
-            raise DslTypeError(
-                f"{value_alternative!r} outside domain of {cause.events[0].var}",
-                kind_tok.line, kind_tok.column)
-
-    return QueryDocument(kind=kind, model_name=model.name or "",
-                         context_name=context_name,
-                         context_values=context_values, cause=cause,
-                         effect=effect, formula=formula,
-                         contrast_mode=contrast_mode,
-                         effect_alternative=effect_alternative,
-                         value_alternative=value_alternative,
-                         variant=variant, extended=extended,
-                         exclude_self=exclude_self,
-                         max_conjuncts=max_conjuncts)
+    if doc.cause is not None:
+        _checked(doc.cause.as_formula(), model)
+    if doc.formula is not None:
+        _checked(doc.formula, model, fm.validate_causal_formula, line, column)
+    events = doc.cause.events if doc.cause is not None else ()
+    if doc.value_alternative is not None and len(events) == 1 and \
+            doc.value_alternative not in model.domain_of(events[0].var):
+        raise DslTypeError(f"{doc.value_alternative!r} outside domain of "
+                           f"{events[0].var}", line, column)
+    return doc
 
 
 # -- serialization --------------------------------------------------------------

@@ -338,16 +338,22 @@ def is_recursive(model: CausalModel) -> bool:
     return model.recursive
 
 
-def _check_context(model: CausalModel, context: Mapping[str, Value]) -> None:
+def _check_context(model: CausalModel, context: Mapping[str, Value],
+                   label: str = "context", *, unknown=UnknownVariable,
+                   outside=OutOfRangeValue, missing=UnknownVariable) -> None:
+    """The one context check: ``context`` assigns only exogenous variables,
+    each a value in its range, and assigns every exogenous variable.  The
+    first fault, in assignment order, raises ``unknown``, ``outside`` or
+    ``missing`` of a message that names the context ``label``; the text
+    format passes its own diagnostic classes."""
+    for name, value in context.items():
+        if name not in model.exogenous:
+            raise unknown(f"{label} assigns non-exogenous {name!r}")
+        if value not in model.domain_of(name):
+            raise outside(f"{label} value {value!r} outside domain of {name}")
     for name in model.exogenous:
         if name not in context:
-            raise UnknownVariable(f"context does not assign exogenous {name!r}")
-        if context[name] not in model.domain_of(name):
-            raise OutOfRangeValue(
-                f"context value {context[name]!r} outside domain of {name}")
-    for name in context:
-        if name not in set(model.exogenous):
-            raise UnknownVariable(f"context assigns non-exogenous {name!r}")
+            raise missing(f"{label} does not assign exogenous {name!r}")
 
 
 def _check_intervention(model: CausalModel,

@@ -51,12 +51,18 @@ def run_query(loaded: LoadedModel, doc: QueryDocument, *,
     context = _context_of(loaded, doc)
     model = loaded.extended() if doc.extended else loaded.model
 
-    if doc.kind == "check":
+    if doc.kind in ("check", "contrast"):
         query = CauseQuery(model, context, doc.cause, doc.effect,
                            variant=doc.variant, exclude_self=doc.exclude_self,
                            max_vars=max_vars)
-        verdict = is_actual_cause(query)
-        return QueryOutcome("check", verdict.overall, cause_verdict=verdict,
+        if doc.kind == "check":
+            verdict = is_actual_cause(query)
+        else:
+            verdict = contrastive_cause(
+                query, doc.contrast_mode,
+                effect_alternative=doc.effect_alternative,
+                value_alternative=doc.value_alternative)
+        return QueryOutcome(doc.kind, verdict.overall, cause_verdict=verdict,
                             witnesses=[verdict.witness] if verdict.witness else [],
                             stats=verdict.stats)
 
@@ -86,16 +92,5 @@ def run_query(loaded: LoadedModel, doc: QueryDocument, *,
     if doc.kind == "eval":
         value = eval_formula(loaded.model, context, doc.formula)
         return QueryOutcome("eval", value)
-
-    if doc.kind == "contrast":
-        query = CauseQuery(model, context, doc.cause, doc.effect,
-                           variant=doc.variant, exclude_self=doc.exclude_self,
-                           max_vars=max_vars)
-        verdict = contrastive_cause(query, doc.contrast_mode,
-                                    effect_alternative=doc.effect_alternative,
-                                    value_alternative=doc.value_alternative)
-        return QueryOutcome("contrast", verdict.overall, cause_verdict=verdict,
-                            witnesses=[verdict.witness] if verdict.witness else [],
-                            stats=verdict.stats)
 
     raise UnknownIdentifier(f"unknown query kind {doc.kind!r}", 0, 0)

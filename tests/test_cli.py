@@ -2,7 +2,16 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from actualcause.cli import main
+from actualcause.corpus import example_text
+from actualcause.dsl import load_model, parse_query
+from actualcause.errors import (
+    DslSyntaxError,
+    DslTypeError,
+    UnknownIdentifier,
+)
 from conftest import corpus_path
 
 
@@ -263,3 +272,55 @@ class TestOtherCommands:
                          "--context", "both", "--cause", "S=1",
                          "--effect", "A=1", "--definition", "strong")
         assert code == 1
+
+
+class TestInvalidInput:
+    """A bad context or contrast value is invalid input on every entry point:
+    a DSL error from a model file or a query, exit 3 from the command line,
+    also when --max-vars would refuse the model (exit 2) had it been
+    searched."""
+
+    # rock_refined has the exogenous variables UST and UBT, both binary.
+    BAD_CONTEXTS = {
+        "not_exogenous": ("UST=1, UBT=1, ST=1", UnknownIdentifier,
+                          "non-exogenous 'ST'"),
+        "out_of_range": ("UST=7, UBT=1", DslTypeError,
+                         "value 7 outside domain of UST"),
+        "missing": ("UST=1", DslTypeError, "does not assign exogenous 'UBT'"),
+        "twice": ("UST=1, UBT=1, UST=0", DslSyntaxError,
+                  "'UST' is assigned twice"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONTEXTS))
+    def test_bad_context_on_every_entry_point(self, capsys, case):
+        items, error, message = self.BAD_CONTEXTS[case]
+        text = example_text("rock_refined")
+        declared = "context both { UST = 1, UBT = 1 }"
+        assert declared in text
+        with pytest.raises(error) as raised:
+            load_model(text.replace(declared, f"context both {{ {items} }}"))
+        assert message in raised.value.message
+        loaded = load_model(text)
+        with pytest.raises(error) as raised:
+            parse_query(f"check cause ST=1 of BS=1 context {{{items}}}",
+                        loaded)
+        assert message in raised.value.message
+        for cap in ((), ("--max-vars", "1")):
+            code, out, err = run(capsys, "check", corpus_path("rock_refined"),
+                                 "--context", items, "--cause", "ST=1",
+                                 "--effect", "BS=1", *cap)
+            assert (code, out) == (3, ""), cap
+            assert err.startswith("error: ") and message in err, cap
+
+    def test_rather_outside_the_cause_domain(self, capsys):
+        loaded = load_model(example_text("rock_refined"))
+        with pytest.raises(DslTypeError) as raised:
+            parse_query("contrast cause ST=1 of BS=1 rather 7 context both",
+                        loaded)
+        assert raised.value.message == "7 outside domain of ST"
+        code, out, err = run(capsys, "contrast", corpus_path("rock_refined"),
+                             "--context", "both", "--cause", "ST=1",
+                             "--effect", "BS=1", "--rather", "7",
+                             "--max-vars", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: 0:0: 7 outside domain of ST\n"
