@@ -240,12 +240,6 @@ def _nth(columns: list[tuple], at: int) -> tuple:
     return tuple(picked[::-1])
 
 
-def _row_getter(at: tuple[int, ...]) -> Callable[[list], tuple]:
-    """Reader of the items at ``at`` off a sequence, as one tuple."""
-    return (itemgetter(*at) if len(at) > 1
-            else lambda slots: tuple([slots[i] for i in at]))
-
-
 class _Engine:
     """Shared state for one search session over (model, context, effect),
     with every input checked once, here.
@@ -371,7 +365,7 @@ class _Engine:
     def key(self, clamps: Iterable[tuple[str, Value]],
             base: tuple | None = None) -> tuple:
         """Key of the scenario ``base`` (default: nothing clamped) with the
-        (var, value) ``clamps`` added, for one-off keys (not per setting)."""
+        (var, value) ``clamps`` added, for keys outside the column products."""
         slots = list(self._unclamped if base is None else base)
         for var, value in clamps:
             slots[self.index[var]] = value
@@ -513,8 +507,7 @@ class _Engine:
         key that matches a pattern fails (b) without a walk.  A pattern that
         reads only slots of R fails a survivor's whole box in every W with
         that R, so its table drops the row for good: unprobed at build, or in
-        place when read after the call has learned more patterns.  Another
-        pattern that reads no screened slot of a box drops that box.
+        place when read after the call has learned more patterns.
         ``legacy`` pins every W slot in its walk and keeps the exact memo
         only.  ``settings_examined`` counts what a walk over every setting
         would: a block adds its settings up to each yielded witness's
@@ -551,10 +544,7 @@ class _Engine:
                   for x, val in zip(xvars, cause.values))))
             if not deviations:
                 return  # a single-valued cause variable admits no deviation
-            n = len(endo)  # place(key + x_dev) lays x_dev over key
-            place = _row_getter(tuple(n + xvars.index(v) if v in xvars else i
-                                      for i, v in enumerate(endo)))
-            bases = [(None, [(_FREE,)] * n)]
+            bases = [(None, [(_FREE,)] * len(endo))]
         else:
             # Clamping X at its actual value can never satisfy both (a) and
             # (b); skipping it is verdict-preserving.
@@ -588,7 +578,7 @@ class _Engine:
                                    for get, seen in retired):
                     continue
                 if strong:
-                    x_used = self._all_deviations_defeat(key, place,
+                    x_used = self._all_deviations_defeat(key, xvars,
                                                          deviations)
                 else:
                     _, reached, allowed = probe(key)
@@ -599,18 +589,11 @@ class _Engine:
 
         def boxes(table, steps, screened):
             """(position, x', pinned key) of each setting in one block's
-            boxes that no box-wide pattern drops, boxes in table order.
-            ``steps`` holds what one value of each relevant slot adds to a
-            position, and ``screened`` the offsets of each screened slot."""
-            drops = [group for slots, group in learned.items()
-                     if screened.keys().isdisjoint(slots)]
-            offsets = None  # of the settings in a box, made once
+            boxes, boxes in table order.  ``steps`` holds what one value of
+            each relevant slot adds to a position, and ``screened`` the
+            offsets of each screened slot."""
+            offsets = list(map(sum, itertools.product(*screened.values())))
             for indices, x_used, pinned in table:
-                if drops and any(get(pinned) in seen for get, seen in drops):
-                    continue
-                if offsets is None:
-                    offsets = list(map(sum, itertools.product(
-                        *screened.values())))
                 box = [(value,) for value in pinned]
                 for i in screened:
                     box[i] = pins[i]
@@ -698,15 +681,15 @@ class _Engine:
                     yield Witness(parts[0], x_part, _part(w_prime), parts[1])
                 stats.settings_examined += size - done
 
-    def _all_deviations_defeat(self, wkey: tuple, place, deviations
-                               ) -> tuple[Value, ...] | None:
+    def _all_deviations_defeat(self, wkey: tuple, xvars: tuple[str, ...],
+                               deviations) -> tuple[Value, ...] | None:
         """Strong clause (a): every full deviation of the cause tuple defeats
         the effect under the contingency; returns the first allowable
         deviation as the recorded x' (None if any fails or none is allowable).
         """
         first: tuple[Value, ...] | None = None
         for x_dev in deviations:
-            _, reached, allowed = self.probe(place(wkey + x_dev))
+            _, reached, allowed = self.probe(self.key(zip(xvars, x_dev), wkey))
             if allowed and not reached:
                 return None
             if allowed and first is None:

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .cause import DEFAULT_MAX_VARS, DefinitionVariant
 from .dsl import (
+    QUERY_OPTIONS,
     build_query,
     load_model,
     parse_assignments,
@@ -27,6 +28,37 @@ from .errors import CausalityError, SearchSpaceTooLarge
 from .formula import eval_trace
 from .queries import QueryOutcome, _context_of, run_query
 
+# Each query argument: the QueryDocument field it fills, the grammar rule
+# that parses it alone (so a syntax error's position is relative to the
+# argument) and its help; build_query then checks the pieces against the model.
+_ARGUMENTS = {
+    "cause": ("cause", parse_conjunction,
+              "conjunction such as 'ML1=1' or 'A=1 & B=1'"),
+    "effect": ("effect", parse_event_formula,
+               "event formula such as 'FB=1' or 'F=1 | F=2'"),
+    "formula": ("formula", parse_causal_formula,
+                "counterfactual formula such as '[L<-0](F=0)'"),
+    "against": ("effect_alternative", parse_event_formula,
+                "alternative outcome formula (consequent contrast)"),
+    "rather": ("value_alternative", parse_value,
+               "alternative cause value (antecedent contrast)"),
+}
+
+# Each query option's flag, help and settings; a subcommand has those of its
+# kind (dsl.QUERY_OPTIONS), and a flag not given leaves the document default.
+_OPTION_FLAGS = {
+    "variant": ("--definition", "cause definition variant",
+                {"choices": sorted(v.value for v in DefinitionVariant)}),
+    "extended": ("--extended", "activate the model's allow clauses",
+                 {"action": "store_true"}),
+    "exclude_self": ("--exclude-self",
+                     "reject causes that logically entail the effect",
+                     {"action": "store_true"}),
+    "max_conjuncts": ("--max-conjuncts",
+                      "largest number of conjuncts in a cause", {"type": int}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actualcause",
@@ -34,71 +66,39 @@ def _build_parser() -> argparse.ArgumentParser:
                     "models written in the .hpc text format.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, cause=False, effect=False,
-               formula=False):
+    def command(name: str, summary: str, *required: str):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("model", help="path to a .hpc model file")
         p.add_argument("--context", required=True,
                        help="context name, or inline assignments like 'U=u11'")
-        if cause:
-            p.add_argument("--cause", required=True,
-                           help="conjunction such as 'ML1=1' or 'A=1 & B=1'")
-        if effect:
-            p.add_argument("--effect", required=True,
-                           help="event formula such as 'FB=1' or 'F=1 | F=2'")
-        if formula:
-            p.add_argument("--formula", required=True,
-                           help="counterfactual formula such as '[L<-0](F=0)'")
-        p.add_argument("--definition",
-                       choices=sorted(v.value for v in DefinitionVariant),
-                       default="updated", help="cause definition variant")
-        p.add_argument("--extended", action="store_true",
-                       help="activate the model's allow clauses")
+        for argument in required:
+            p.add_argument(f"--{argument}", required=True,
+                           help=_ARGUMENTS[argument][2])
+        for option in QUERY_OPTIONS[name]:
+            flag, text, settings = _OPTION_FLAGS[option]
+            p.add_argument(flag, dest=option, default=argparse.SUPPRESS,
+                           help=text, **settings)
         p.add_argument("--json", action="store_true", dest="as_json")
         p.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS,
                        help="refuse models with more endogenous variables")
+        return p
 
-    p = sub.add_parser("check", help="decide one cause/effect query")
-    common(p, cause=True, effect=True)
-    p.add_argument("--exclude-self", action="store_true",
-                   help="reject causes that logically entail the effect")
-
-    p = sub.add_parser("causes", help="enumerate causes of an effect")
-    common(p, effect=True)
-    p.add_argument("--exclude-self", action="store_true")
-    p.add_argument("--max-conjuncts", type=int, default=1)
-
-    p = sub.add_parser("witnesses", help="enumerate all AC2 witnesses")
-    common(p, cause=True, effect=True)
-
-    p = sub.add_parser("process", help="enumerate minimal causal process sets")
-    common(p, cause=True, effect=True)
-
-    p = sub.add_parser("eval", help="evaluate a counterfactual formula")
-    common(p, formula=True)
+    command("check", "decide one cause/effect query", "cause", "effect")
+    command("causes", "enumerate causes of an effect", "effect")
+    command("witnesses", "enumerate all AC2 witnesses", "cause", "effect")
+    command("process", "enumerate minimal causal process sets", "cause",
+            "effect")
+    p = command("eval", "evaluate a counterfactual formula", "formula")
     p.add_argument("--trace", action="store_true",
                    help="show the solved world of each intervention")
-
-    p = sub.add_parser("contrast", help="contrastive cause queries")
-    common(p, cause=True, effect=True)
+    p = command("contrast", "contrastive cause queries", "cause", "effect")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--against",
-                       help="alternative outcome formula (consequent contrast)")
-    group.add_argument("--rather",
-                       help="alternative cause value (antecedent contrast)")
+    for argument in ("against", "rather"):
+        group.add_argument(f"--{argument}", help=_ARGUMENTS[argument][2])
     p.add_argument("--weak", action="store_true",
                    help="with --rather: only require the alternative to pass "
                             "the no-side-effect clause")
     return parser
-
-
-# Each query argument, the QueryDocument field it fills, and the grammar rule
-# that parses it on its own, so that a syntax error's position is relative to
-# the argument; build_query then checks the pieces against the model.
-_ARGUMENTS = (("cause", "cause", parse_conjunction),
-              ("effect", "effect", parse_event_formula),
-              ("formula", "formula", parse_causal_formula),
-              ("against", "effect_alternative", parse_event_formula),
-              ("rather", "value_alternative", parse_value))
 
 
 def _witness_json(witness) -> dict:
@@ -186,6 +186,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "weak", False) and args.rather is None:
+            parser.error("contrast: --weak needs --rather")
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -196,19 +198,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             pieces = {"context_values": parse_assignments(args.context)}
         else:
             pieces = {"context_name": args.context.strip()}
-        for name, field, rule in _ARGUMENTS:
+        for name, (field, rule, _) in _ARGUMENTS.items():
             if getattr(args, name, None) is not None:
                 pieces[field] = rule(getattr(args, name))
         if args.command == "contrast":
             pieces["contrast_mode"] = (
                 "consequent" if args.against is not None
                 else "antecedent_weak" if args.weak else "antecedent_strong")
-        doc = build_query(loaded, args.command,
-                          variant=DefinitionVariant(args.definition),
-                          extended=args.extended,
-                          exclude_self=getattr(args, "exclude_self", False),
-                          max_conjuncts=getattr(args, "max_conjuncts", 1),
-                          **pieces)
+        options = QUERY_OPTIONS[args.command]  # only those given are set
+        pieces.update((k, v) for k, v in vars(args).items() if k in options)
+        if "variant" in pieces:
+            pieces["variant"] = DefinitionVariant(pieces["variant"])
+        doc = build_query(loaded, args.command, **pieces)
         started = time.perf_counter()
         outcome = run_query(loaded, doc, max_vars=args.max_vars)
         wall_ms = (time.perf_counter() - started) * 1000.0

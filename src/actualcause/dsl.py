@@ -36,8 +36,9 @@ Query strings look like::
     contrast cause AS=1 of F=2 vs F=1 context base
     contrast cause ML1=1 of FB=1 rather 0 context u11
 
-followed by options in any order: ``variant updated|legacy|strong``,
-``extended``, ``exclude_self``, ``max_conjuncts N``.
+followed by the context clause and the kind's options in QUERY_OPTIONS
+(``variant updated|legacy|strong``, ``extended``, ``exclude_self``,
+``max_conjuncts N``), each at most once, in any order; others are refused.
 """
 
 from __future__ import annotations
@@ -172,31 +173,31 @@ class VarDecl:
     kind: str          # 'exo' or 'var'
     name: str
     values: tuple[Value, ...]
-    line: int = field(compare=False, default=0)
-    column: int = field(compare=False, default=0)
+    line: int | None = field(compare=False, default=None)
+    column: int | None = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
 class EqStmt:
     target: str
     expr: Expr
-    line: int = field(compare=False, default=0)
-    column: int = field(compare=False, default=0)
+    line: int | None = field(compare=False, default=None)
+    column: int | None = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
 class AllowStmt:
     formula: fm.Formula
-    line: int = field(compare=False, default=0)
-    column: int = field(compare=False, default=0)
+    line: int | None = field(compare=False, default=None)
+    column: int | None = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
 class ContextDecl:
     name: str
     items: tuple[tuple[str, Value], ...]
-    line: int = field(compare=False, default=0)
-    column: int = field(compare=False, default=0)
+    line: int | None = field(compare=False, default=None)
+    column: int | None = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,18 @@ class QueryDocument:
     extended: bool = False
     exclude_self: bool = False
     max_conjuncts: int = 1
+
+
+# The options each query kind takes, by QueryDocument field: the only list of
+# them, read by parse_query and by the command line's subcommands.
+QUERY_OPTIONS: dict[str, tuple[str, ...]] = {
+    "check": ("variant", "extended", "exclude_self"),
+    "causes": ("variant", "extended", "exclude_self", "max_conjuncts"),
+    "witnesses": ("variant", "extended"),
+    "process": ("variant", "extended"),
+    "eval": (),
+    "contrast": ("variant", "extended", "exclude_self"),
+}
 
 
 class _Parser:
@@ -545,7 +558,7 @@ class LoadedModel:
             return dict(self.contexts[name])
         except KeyError:
             raise UnknownIdentifier(f"model {self.model.name!r} declares no "
-                                    f"context {name!r}", 0, 0) from None
+                                    f"context {name!r}") from None
 
 
 def _compile(stmt: EqStmt, signature: Signature
@@ -756,8 +769,8 @@ def _parse_all(text: str, rule, what: str):
 
 
 def _checked(formula: fm.Formula, model: CausalModel | None,
-             validate=fm.validate_event_formula, line: int = 0,
-             column: int = 0) -> fm.Formula:
+             line: int | None = None, column: int | None = None,
+             validate=fm.validate_event_formula) -> fm.Formula:
     if model is not None:
         try:
             validate(model, formula)
@@ -772,7 +785,7 @@ def parse_event_formula(text: str, model: CausalModel | None = None) -> fm.Formu
 
 def parse_causal_formula(text: str, model: CausalModel | None = None) -> fm.Formula:
     node = _parse_all(text, lambda p: p.formula(causal=True), "formula")
-    return _checked(node, model, fm.validate_causal_formula)
+    return _checked(node, model, validate=fm.validate_causal_formula)
 
 
 def parse_conjunction(text: str, model: CausalModel | None = None) -> CandidateCause:
@@ -805,7 +818,7 @@ def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
 
     if kind == "eval":
         pieces["formula"] = parser.formula(causal=True)
-    elif kind in ("check", "causes", "witnesses", "process", "contrast"):
+    elif kind in QUERY_OPTIONS:
         if kind != "causes":
             parser.keyword("for" if kind in ("witnesses", "process")
                            else "cause")
@@ -831,12 +844,18 @@ def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
         else:
             parser.fail("'vs' or 'rather'")
 
+    # The context clause and the kind's options, each at most once.
+    takes, seen = ("context", *QUERY_OPTIONS[kind]), set()
     while parser.here.kind != "eof":
-        tok = parser.ident("'context' or an option keyword")
+        if not parser.at_keyword(*takes):
+            parser.fail(f"a clause of {kind} queries "
+                        f"({', '.join(map(repr, takes))})")
+        tok = parser.advance()
+        if tok.text in seen:
+            raise DslSyntaxError(f"{tok.text!r} clause given twice",
+                                 tok.line, tok.column)
+        seen.add(tok.text)
         if tok.text == "context":
-            if "context_name" in pieces or "context_values" in pieces:
-                raise DslSyntaxError("duplicate context clause",
-                                     tok.line, tok.column)
             if parser.here.kind == "{":
                 pieces["context_values"] = parser.assignments()
             else:
@@ -848,30 +867,25 @@ def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
             except ValueError:
                 raise DslSyntaxError(f"unknown variant {word.text!r}",
                                      word.line, word.column) from None
-        elif tok.text == "extended":
-            pieces["extended"] = True
-        elif tok.text == "exclude_self":
-            pieces["exclude_self"] = True
         elif tok.text == "max_conjuncts":
             count = parser.expect("int", "a conjunct count")
             pieces["max_conjuncts"] = int(count.text)
-        else:
-            raise DslSyntaxError(f"unknown option {tok.text!r}",
-                                 tok.line, tok.column)
-    if "context_name" not in pieces and "context_values" not in pieces:
+        else:  # extended, exclude_self
+            pieces[tok.text] = True
+    if "context" not in seen:
         parser.fail("a 'context' clause")
     # resolve and type-check against the model
     return build_query(loaded, kind, kind_tok.line, kind_tok.column, **pieces)
 
 
-def build_query(loaded: LoadedModel, kind: str, line: int = 0,
-                column: int = 0, **pieces) -> QueryDocument:
+def build_query(loaded: LoadedModel, kind: str, line: int | None = None,
+                column: int | None = None, **pieces) -> QueryDocument:
     """The one query builder: type-check the parsed ``pieces`` of a query
     (the QueryDocument fields after the model name) against a loaded model
     and return its document.  A named context must be declared, and an
-    inline one must pass the model's context check; those faults, a causal
-    formula's and a contrast value outside the cause's domain are reported
-    at ``line``:``column``, and a cause's or effect's at 0:0."""
+    inline one must pass the model's context check.  Every fault against the
+    model is reported at ``line``:``column``, or with no position when they
+    are None."""
     doc = QueryDocument(kind, loaded.model.name or "", **pieces)
     model = loaded.model
     if doc.context_name is not None and \
@@ -880,13 +894,12 @@ def build_query(loaded: LoadedModel, kind: str, line: int = 0,
                                 f"{doc.context_name!r}", line, column)
     if doc.context_values is not None:
         _context(model, doc.context_values, "context", line, column)
-    for f in (doc.effect, doc.effect_alternative):
+    cause = None if doc.cause is None else doc.cause.as_formula()
+    for f in (doc.effect, doc.effect_alternative, cause):
         if f is not None:
-            _checked(f, model)
-    if doc.cause is not None:
-        _checked(doc.cause.as_formula(), model)
+            _checked(f, model, line, column)
     if doc.formula is not None:
-        _checked(doc.formula, model, fm.validate_causal_formula, line, column)
+        _checked(doc.formula, model, line, column, fm.validate_causal_formula)
     events = doc.cause.events if doc.cause is not None else ()
     if doc.value_alternative is not None and len(events) == 1 and \
             doc.value_alternative not in model.domain_of(events[0].var):
@@ -982,7 +995,7 @@ def document_from_model(model: CausalModel,
     for name in model.endogenous:
         mech = model.mechanisms[name]
         if mech.table is None:
-            raise DslTypeError(f"mechanism for {name} has no table form", 0, 0)
+            raise DslTypeError(f"mechanism for {name} has no table form")
         if not mech.deps:
             equations.append(EqStmt(name, Lit(mech.table[()])))
             continue

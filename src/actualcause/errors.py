@@ -78,10 +78,12 @@ class UnknownExample(CausalityError):
 # -- text format ------------------------------------------------------------
 
 class DslError(CausalityError):
-    """Base for parse-time diagnostics; always carries line and column."""
+    """Base for parse-time diagnostics, at a line and column if any."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
+    def __init__(self, message: str, line: int | None = None,
+                 column: int | None = None):
+        super().__init__(message if line is None
+                         else f"{line}:{column}: {message}")
         self.message = message
         self.line = line
         self.column = column

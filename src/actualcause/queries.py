@@ -42,7 +42,7 @@ def _context_of(loaded: LoadedModel, doc: QueryDocument) -> dict[str, Value]:
     if doc.context_values is not None:
         return dict(doc.context_values)
     if doc.context_name is None:
-        raise UnknownIdentifier("query has no context clause", 0, 0)
+        raise UnknownIdentifier("query has no context clause")
     return loaded.context(doc.context_name)
 
 
@@ -93,4 +93,4 @@ def run_query(loaded: LoadedModel, doc: QueryDocument, *,
         value = eval_formula(loaded.model, context, doc.formula)
         return QueryOutcome("eval", value)
 
-    raise UnknownIdentifier(f"unknown query kind {doc.kind!r}", 0, 0)
+    raise UnknownIdentifier(f"unknown query kind {doc.kind!r}")

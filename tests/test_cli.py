@@ -12,6 +12,7 @@ from actualcause.errors import (
     DslTypeError,
     UnknownIdentifier,
 )
+from actualcause.queries import run_query
 from conftest import corpus_path
 
 
@@ -323,4 +324,124 @@ class TestInvalidInput:
                              "--effect", "BS=1", "--rather", "7",
                              "--max-vars", "1")
         assert (code, out) == (3, "")
-        assert err == "error: 0:0: 7 outside domain of ST\n"
+        assert err == "error: 7 outside domain of ST\n"
+
+    def test_no_error_names_a_made_up_position(self, capsys):
+        rock = corpus_path("rock_refined")
+        for argv in (("check", rock, "--context", "nachos", "--cause", "ST=1",
+                      "--effect", "BS=1"),
+                     ("check", rock, "--context", "both", "--cause", "ST=1",
+                      "--effect", "NOPE=1"),
+                     ("check", rock, "--context", "both", "--cause", "NOPE=1",
+                      "--effect", "BS=1"),
+                     ("check", rock, "--context", "UST=7, UBT=1", "--cause",
+                      "ST=1", "--effect", "BS=1"),
+                     ("eval", rock, "--context", "both", "--formula",
+                      "[NOPE<-0](BS=0)")):
+            code, _, err = run(capsys, *argv)
+            assert code == 3 and err.startswith("error: "), argv
+            assert not err.startswith("error: 0:0:"), err
+
+    def test_query_model_faults_are_reported_at_the_query_keyword(self):
+        loaded = load_model(example_text("rock_refined"))
+        with pytest.raises(UnknownIdentifier) as raised:
+            parse_query("check cause ST=1 of NOPE=1 context both", loaded)
+        assert (raised.value.line, raised.value.column) == (1, 1)
+
+
+# The options each query kind takes, and each option as query-language words
+# and as command-line arguments.
+TAKES = {
+    "check": {"variant", "extended", "exclude_self"},
+    "causes": {"variant", "extended", "exclude_self", "max_conjuncts"},
+    "witnesses": {"variant", "extended"},
+    "process": {"variant", "extended"},
+    "eval": set(),
+    "contrast": {"variant", "extended", "exclude_self"},
+}
+OPTIONS = {
+    "variant": ("variant strong", ("--definition", "strong")),
+    "extended": ("extended", ("--extended",)),
+    "exclude_self": ("exclude_self", ("--exclude-self",)),
+    "max_conjuncts": ("max_conjuncts 2", ("--max-conjuncts", "2")),
+}
+
+
+class TestOptionsByKind:
+    """Each query kind takes its own options, in the query language and on
+    the command line alike; any other is a syntax error or a usage error."""
+
+    FLAGS = {"--definition", "--extended", "--exclude-self", "--max-conjuncts"}
+    # Each kind's query on rock_refined, and the same query as CLI arguments.
+    QUERIES = {
+        "check": ("check cause ST=1 of BS=1 context both",
+                  ("--cause", "ST=1", "--effect", "BS=1")),
+        "causes": ("causes of BS=1 context both", ("--effect", "BS=1")),
+        "witnesses": ("witnesses for ST=1 of BS=1 context both",
+                      ("--cause", "ST=1", "--effect", "BS=1")),
+        "process": ("process for ST=1 of BS=1 context both",
+                    ("--cause", "ST=1", "--effect", "BS=1")),
+        "eval": ("eval [ST<-0](BS=0) context both",
+                 ("--formula", "[ST<-0](BS=0)")),
+        "contrast": ("contrast cause ST=1 of BS=1 vs BS=0 context both",
+                     ("--cause", "ST=1", "--effect", "BS=1",
+                      "--against", "BS=0")),
+    }
+
+    def argv(self, kind):
+        return (kind, corpus_path("rock_refined"), "--context", "both",
+                *self.QUERIES[kind][1])
+
+    @pytest.mark.parametrize("kind, option", [
+        (kind, option) for kind in TAKES for option in OPTIONS])
+    def test_option_is_taken_exactly_by_its_kinds(self, capsys, kind,
+                                                  option):
+        loaded = load_model(example_text("rock_refined"))
+        text, flags = OPTIONS[option]
+        query = self.QUERIES[kind][0]
+        code, _, _ = run(capsys, *self.argv(kind), *flags)
+        if option in TAKES[kind]:
+            doc = parse_query(f"{query} {text}", loaded)
+            assert getattr(doc, option) != getattr(
+                parse_query(query, loaded), option)
+            assert code in (0, 1)
+        else:
+            with pytest.raises(DslSyntaxError) as raised:
+                parse_query(f"{query} {text}", loaded)
+            assert (raised.value.line, raised.value.column) == (
+                1, len(query) + 2)
+            assert code == 2
+
+    @pytest.mark.parametrize("kind", sorted(TAKES))
+    def test_help_lists_the_flags_of_the_kind(self, capsys, kind):
+        code, out, _ = run(capsys, kind, "--help")
+        assert code == 0
+        listed = {flag for flag in self.FLAGS if flag in out}
+        assert listed == {OPTIONS[o][1][0] for o in TAKES[kind]}
+
+    def test_repeated_clause_is_refused(self):
+        loaded = load_model(example_text("rock_refined"))
+        query = "check cause ST=1 of BS=1 context both"
+        for repeat, column in ((" variant strong variant legacy", 54),
+                               (" context both", 39),
+                               (" extended extended", 48)):
+            with pytest.raises(DslSyntaxError) as raised:
+                parse_query(query + repeat, loaded)
+            assert (raised.value.line, raised.value.column) == (1, column)
+
+    def test_contrast_exclude_self_matches_the_query(self, capsys):
+        loaded = load_model(example_text("rock_refined"))
+        text = "contrast cause BS=1 of BS=1 rather 0 context both"
+        for words, flags in (("", ()), (" exclude_self", ("--exclude-self",))):
+            doc = parse_query(text + words, loaded)
+            expected = run_query(loaded, doc).verdict
+            code, out, _ = run(capsys, "contrast", corpus_path("rock_refined"),
+                               "--context", "both", "--cause", "BS=1",
+                               "--effect", "BS=1", "--rather", "0", *flags,
+                               "--json")
+            assert code == (0 if expected else 1), words
+            assert json.loads(out)["verdict"] is expected, words
+
+    def test_weak_needs_rather(self, capsys):
+        code, out, _ = run(capsys, *self.argv("contrast"), "--weak")
+        assert (code, out) == (2, "")
