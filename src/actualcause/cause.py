@@ -58,7 +58,6 @@ from .formula import (
     Prim,
     conj,
     entails,
-    eval_event,
     event_vars,
     satisfiable_together,
     validate_event_formula,
@@ -182,30 +181,33 @@ def _part(part: tuple) -> tuple:
 # Compiled probe kernels by source text, each beside its memo of relevant
 # clamps per clamp mask (see _Engine._relevant) and its reach masks per slot
 # (see _Engine._b_holds).  A source holds only slot numbers and generated
-# names, so engines over models and formulas of the same shape share one code
-# object, one memo and one reach list whatever their tables and values;
-# emptied when full.
+# names, so plans of the same shape share one code object, one memo and one
+# reach list whatever their tables and values; emptied when full.
 _CODE: dict[str, tuple[CodeType, dict[int, int], list[int]]] = {}
 _CODE_CAP = 1 << 8
 _RELEVANCE_CAP = 1 << 12  # masks per kernel; a memo is emptied when full
-# Entries of an engine's probe cache, of each of its clause (b) memos and
-# values of the learned patterns per held key; each is emptied in place when
-# full, which costs only repeated work.
+# Plans per model, worlds per plan, entries of an engine's probe cache, of
+# each of its clause (b) memos and values of the learned patterns per held
+# key; each is emptied in place when full, which costs only repeated work.
+_PLANS_CAP = _WORLDS_CAP = 1 << 6
 _CACHE_CAP = 1 << 18
 _MEMO_CAP = 1 << 16
 _LEARNED_CAP = 1 << 12
 
 
-def _kernel(lines: list[str], namespace: dict, reach: Callable[[], list[int]]
-            ) -> tuple[Callable[[tuple], tuple], dict[int, int], list[int]]:
-    source = "def probe(key):\n " + "\n ".join(lines)
-    entry = _CODE.get(source)
+def _kept(table: dict, key, make: Callable[[], object], cap: int):
+    """``table[key]``, made at first use and kept, in a table emptied at
+    ``cap`` entries, unless the key is unhashable or ``make`` raises.  An entry
+    made twice by racing threads is made the same, so no lock is needed."""
+    try:
+        entry = table.get(key)
+    except TypeError:
+        return make()
     if entry is None:
-        if len(_CODE) >= _CODE_CAP:
-            _CODE.clear()
-        entry = _CODE[source] = (
-            compile(source, "<probe>", "exec").co_consts[0], {}, reach())
-    return FunctionType(entry[0], namespace), entry[1], entry[2]
+        if len(table) >= cap:
+            table.clear()
+        entry = table[key] = make()
+    return entry
 
 
 def _emit(formula: Formula, slot: Mapping[str, int], lines: list[str],
@@ -240,9 +242,108 @@ def _nth(columns: list[tuple], at: int) -> tuple:
     return tuple(picked[::-1])
 
 
+class _Plan:
+    """What the queries on one (model, allow rule, effect, goal) share: the
+    formulas, checked once here, the kernel and a world per context (see
+    world).  Kept on the model, it holds no reference back to it.
+
+    The kernel ``probe(key)`` gives (effect holds, clause-(a) goal reached,
+    allowable): straight-line Python over the cone, the endogenous
+    ancestors-or-self of what the effect, the goal and an allow formula
+    read (every variable for an allowable set or predicate), since no clamp
+    outside it can change an outcome.  It unpacks the key into locals, reads
+    each unclamped cone variable off its table in topological order
+    (``value_at`` serves function rules and missing rows) and evaluates the
+    formulas one connective per line.  Its source names only slots,
+    arguments and bound globals, so plans of one shape share its code,
+    relevance memo and reach masks through ``_CODE``."""
+
+    def __init__(self, model: CausalModel, allowable, effect: Formula,
+                 defeat: Formula | None):
+        endo = self.endo = model.endogenous
+        if isinstance(allowable, frozenset | set):
+            pool = frozenset(allowable)
+            allowable = lambda a: tuple(a[v] for v in endo) in pool
+        whole = callable(allowable)  # a predicate that reads every variable
+        reads = [f for f in (None if whole else allowable, effect, defeat)
+                 if f is not None]
+        for formula in reads:
+            validate_event_formula(model, formula)
+        self.index = {v: i for i, v in enumerate(endo)}
+        self.domains = {v: model.domain_of(v).values for v in endo}
+        self.values = tuple(self.domains.values())  # by slot
+        self.worlds: dict[tuple, tuple] = {}
+
+        # The kernel: locals s<i> hold the key's endogenous slots, arguments
+        # c<j> the context; cone variables are solved in topological order.
+        todo = [v for f in reads for v in event_vars(f)]
+        self.reads = endo if whole else tuple(set(todo))  # see _relevant
+        cone = set(endo) if whole else set()
+        while todo:
+            var = todo.pop()
+            if var not in cone:
+                cone.add(var)
+                todo.extend(d for d in model.parents[var] if d in self.index)
+        ns = self.ns = {"F": _FREE, "OUT": _OUTCOMES, "ENDO": endo,
+                        "A": allowable}
+        ref = {v: f"s{i}" for i, v in enumerate(endo)}
+        ref.update((u, f"c{j}") for j, u in enumerate(model.exogenous))
+        slots = f"({''.join(ref[v] + ', ' for v in endo)})"
+        lines = ["r = GET(key)", "if r is not None:", " return r",
+                 f"{slots} = key"]
+        for v in (v for v in model.order if v in cone):
+            i, mech = self.index[v], model.mechanisms[v]
+            row = f"({''.join(ref[d] + ', ' for d in mech.deps)})"
+            ns[f"T{i}"], ns[f"M{i}"] = mech.table or {}, mech
+            # A function rule, or a missing row, which value_at reports.
+            lines += [f"if s{i} is F:", f" s{i} = T{i}.get({row}, F)",
+                      f" if s{i} is F:",
+                      f"  s{i} = M{i}.value_at(dict(zip(M{i}.deps, {row})))"]
+        emit = lambda f: _emit(f, self.index, lines, ns)
+        lines.append(f"h = {emit(effect)}")
+        goal = "not h" if defeat is None else emit(defeat)
+        allow = ("True" if allowable is None else emit(allowable) if not whole
+                 else f"bool(A(dict(zip(ENDO, {slots}))))")
+        lines += ["if len(CACHE) >= CAP:", " CACHE.clear()",
+                  f"CACHE[key] = r = OUT[h, {goal}, {allow}]", "return r"]
+        source = (f"def probe(key, GET, CACHE, CAP"
+                  f"{''.join(', ' + ref[u] for u in model.exogenous)}):\n "
+                  + "\n ".join(lines))
+
+        def compiled():  # with an empty memo and each slot's reach
+            masks = dict.fromkeys(endo, 0)  # strict descendants in the cone
+            for v in reversed(model.order):  # children first
+                for d in model.parents[v] if v in cone else ():
+                    if d in masks:
+                        masks[d] |= masks[v] | 1 << self.index[v]
+            return (compile(source, "<probe>", "exec").co_consts[0], {},
+                    list(masks.values()))
+        self.code, self.relevance, self.reach = _kept(_CODE, source, compiled,
+                                                      _CODE_CAP)
+
+    def world(self, model: CausalModel, context: Mapping[str, Value]) -> tuple:
+        """(actual world, a box that a first witness fills with its (variable,
+        value) parts, see _Engine.witnesses, its values by slot, the context's
+        values, whether the effect holds) in ``context``, or
+        DisallowedActualWorld."""
+        actual = solve(model, context)
+        given = tuple(context[u] for u in model.exogenous)
+        holds, _, allowed = self.probe({}, given)((_FREE,) * len(self.endo))
+        if not allowed:
+            raise DisallowedActualWorld(
+                "the solved actual world violates the allowable-settings rule")
+        return (actual, [None], tuple(enumerate(map(actual.get, self.endo))),
+                given, holds)
+
+    def probe(self, cache: dict, given: tuple) -> Callable[[tuple], tuple]:
+        """The kernel over ``cache`` in the context whose values are given."""
+        return FunctionType(self.code, self.ns, None,
+                            (cache.get, cache, _CACHE_CAP, *given))
+
+
 class _Engine:
-    """Shared state for one search session over (model, context, effect),
-    with every input checked once, here.
+    """The search state of one query (probe cache, clause (b) memo, learned
+    patterns) over a plan and a world that queries share (see _Plan).
 
     A scenario clamps some endogenous variables; its key holds one slot per
     endogenous variable in declaration order, with the clamped value or
@@ -255,16 +356,7 @@ class _Engine:
     which is what makes the subset quantifier in AC2(b) affordable: the same
     scenarios recur across candidate witnesses.  ``defeat`` replaces the
     effect's negation as the goal of clause (a) (used for contrastive
-    queries).  ``probe(key)`` gives (effect holds, clause-(a) goal reached,
-    allowable): straight-line Python generated here over the cone, the
-    endogenous ancestors-or-self of what the effect, the goal and an allow
-    formula read (every variable for an allowable set or predicate), since no
-    clamp outside it can change an outcome.  It unpacks the key into locals,
-    reads each unclamped cone variable off its table in topological order
-    (``value_at`` serves function rules and missing rows) and evaluates the
-    formulas one connective per line.  Its source names only slots and
-    bound globals, so engines of one shape share its code through ``_CODE``.
-    """
+    queries)."""
 
     def __init__(self, model: CausalModel | ExtendedCausalModel,
                  context: Mapping[str, Value], effect: Formula,
@@ -276,12 +368,6 @@ class _Engine:
         allowable = None
         if isinstance(model, ExtendedCausalModel):
             model, allowable = model.base, model.allowable
-        if isinstance(allowable, frozenset | set):
-            pool = frozenset(allowable)
-            allowable = lambda a: tuple(a[v] for v in model.endogenous) in pool
-        whole = callable(allowable)  # a predicate that reads every variable
-        reads = [f for f in (None if whole else allowable, effect, defeat)
-                 if f is not None]
         self.model = model
         if not model.recursive:
             raise NotRecursive("cause checking requires a recursive model")
@@ -289,84 +375,33 @@ class _Engine:
             raise SearchSpaceTooLarge(
                 f"{len(model.endogenous)} endogenous variables exceed the "
                 f"cap of {max_vars}; raise max_vars to search anyway")
-        for formula in reads:
-            validate_event_formula(model, formula)
-        self.context = dict(context)
-        self.effect = effect
-        self.endo = model.endogenous
-        self.index = {v: i for i, v in enumerate(self.endo)}
+        plan = _kept(model.plans, (allowable, effect, defeat),
+                     lambda: _Plan(model, allowable, effect, defeat), _PLANS_CAP)
+        self.plan, self.context, self.effect = plan, dict(context), effect
+        self.endo, self.index, self.domains, self._values, self._relevance = (
+            plan.endo, plan.index, plan.domains, plan.values, plan.relevance)
         for e in cause.events if cause is not None else ():
             if e.var not in self.index:
                 raise UnknownVariable(f"{e.var!r} is not an endogenous variable")
             if e.value not in model.domain_of(e.var):
                 raise OutOfRangeValue(
                     f"cause value {e.value!r} outside domain of {e.var}")
-        self.actual = solve(model, self.context)
-        self.domains = {v: model.domain_of(v).values for v in self.endo}
-        self._values = [self.domains[v] for v in self.endo]  # by slot
-        self.actual_pairs = {v: _part((v, self.actual[v])) for v in self.endo}
-        self._actual_slots = list(enumerate(self.actual[v] for v in self.endo))
-        self._unclamped = (_FREE,) * len(self.endo)
+        (self.actual, self.actual_pairs, self._actual_slots, given,
+         self.holds) = _kept(plan.worlds, tuple(context.items()),
+                             lambda: plan.world(model, context), _WORLDS_CAP)
         self._cache: dict[tuple, tuple[bool, bool, bool]] = {}
+        self.probe = plan.probe(self._cache, given)
         # Clause (b) verdicts per (legacy, cause variables) and pinned key.
         self._b_memo: dict[tuple, dict[tuple, bool]] = {}
         # Learned clause (b) violations per held key: the violating slots ->
         # (their reader, the pinned values seen there), see witnesses.
         self._learned: dict[tuple, dict[tuple, tuple]] = {}
 
-        # The kernel: locals s<i> hold the key's endogenous slots, globals
-        # c<j> the context; cone variables are solved in topological order.
-        todo = [v for f in reads for v in event_vars(f)]
-        self._reads = self.endo if whole else set(todo)  # see _relevant
-        cone = set(self.endo) if whole else set()
-        while todo:
-            var = todo.pop()
-            if var not in cone:
-                cone.add(var)
-                todo.extend(d for d in model.parents[var] if d in self.index)
-        ns = {"F": _FREE, "OUT": _OUTCOMES, "CACHE": self._cache,
-              "GET": self._cache.get, "CAP": _CACHE_CAP, "ENDO": self.endo,
-              "A": allowable}
-        ref = {v: f"s{i}" for i, v in enumerate(self.endo)}
-        for j, u in enumerate(model.exogenous):
-            ref[u], ns[f"c{j}"] = f"c{j}", self.context[u]
-        slots = f"({''.join(ref[v] + ', ' for v in self.endo)})"
-        lines = ["r = GET(key)", "if r is not None:", " return r",
-                 f"{slots} = key"]
-        for v in (v for v in model.order if v in cone):
-            i, mech = self.index[v], model.mechanisms[v]
-            row = f"({''.join(ref[d] + ', ' for d in mech.deps)})"
-            ns[f"T{i}"], ns[f"V{i}"], ns[f"D{i}"] = (
-                mech.table or {}, mech.value_at, mech.deps)
-            # A function rule, or a missing row, which value_at reports.
-            lines += [f"if s{i} is F:", f" s{i} = T{i}.get({row}, F)",
-                      f" if s{i} is F:",
-                      f"  s{i} = V{i}(dict(zip(D{i}, {row})))"]
-        emit = lambda f: _emit(f, self.index, lines, ns)
-        lines.append(f"h = {emit(effect)}")
-        goal = "not h" if defeat is None else emit(defeat)
-        allow = ("True" if allowable is None else emit(allowable) if not whole
-                 else f"bool(A(dict(zip(ENDO, {slots}))))")
-        lines += ["if len(CACHE) >= CAP:", " CACHE.clear()",
-                  f"CACHE[key] = r = OUT[h, {goal}, {allow}]", "return r"]
-
-        def reach():  # per slot, its strict descendants in the cone
-            masks = dict.fromkeys(self.endo, 0)
-            for v in reversed(model.order):  # children first
-                for d in model.parents[v] if v in cone else ():
-                    if d in masks:
-                        masks[d] |= masks[v] | 1 << self.index[v]
-            return list(masks.values())
-        self.probe, self._relevance, self._reach = _kernel(lines, ns, reach)
-        if not self.probe(self._unclamped)[2]:
-            raise DisallowedActualWorld(
-                "the solved actual world violates the allowable-settings rule")
-
     def key(self, clamps: Iterable[tuple[str, Value]],
             base: tuple | None = None) -> tuple:
         """Key of the scenario ``base`` (default: nothing clamped) with the
         (var, value) ``clamps`` added, for keys outside the column products."""
-        slots = list(self._unclamped if base is None else base)
+        slots = [_FREE] * len(self.endo) if base is None else list(base)
         for var, value in clamps:
             slots[self.index[var]] = value
         return tuple(slots)
@@ -384,7 +419,7 @@ class _Engine:
         rel = self._relevance.get(mask)
         if rel is None:
             index, parents = self.index, self.model.parents
-            reads = sum(1 << index[v] for v in self._reads)
+            reads = sum(1 << index[v] for v in self.plan.reads)
             live, rel = reads & ~mask, reads & mask
             for var in reversed(self.model.order):  # children first
                 if live >> index[var] & 1:
@@ -404,7 +439,7 @@ class _Engine:
         base = 0
         for (i, value), h in zip(self._actual_slots, held):
             if h is not _FREE and h != value:
-                base |= self._reach[i]
+                base |= self.plan.reach[i]
         return base
 
     def _b_holds(self, pinned: tuple, held: tuple, free: tuple[int, ...],
@@ -440,7 +475,7 @@ class _Engine:
             held = pinned
         if legacy or base is None:
             base = self._deviation(held)
-        actual, reach, probe = self._actual_slots, self._reach, self.probe
+        actual, reach, probe = self._actual_slots, self.plan.reach, self.probe
         moved = [] if legacy else [(i, pinned[i]) for i in free
                                    if pinned[i] is not _FREE]
         still = [actual[i] for i in free if pinned[i] is _FREE]
@@ -670,10 +705,13 @@ class _Engine:
                     stats.settings_examined += at + 1 - done
                     done = at + 1
                     if parts is None:
+                        pairs = self.actual_pairs[0]  # made whole, then kept
+                        if pairs is None:  # in one step, for racing threads
+                            pairs = self.actual_pairs[0] = tuple([
+                                _part((v, self.actual[v])) for v in endo])
                         parts = (_part(tuple([endo[i] for i in w])),
-                                 _part(tuple([self.actual_pairs[v]
-                                              for i, v in enumerate(endo)
-                                              if i not in w])))
+                                 _part(tuple([pair for i, pair in enumerate(
+                                     pairs) if i not in w])))
                     x_part = x_parts.get(x_used)
                     if x_part is None:
                         x_part = x_parts[x_used] = _part(x_used)
@@ -701,7 +739,7 @@ class _Engine:
 
     def ac1(self, cause: CandidateCause) -> bool:
         return (all(self.actual[e.var] == e.value for e in cause.events)
-                and eval_event(self.actual, self.effect))
+                and self.holds)
 
 
 def is_weak_cause(query: CauseQuery) -> CauseVerdict:
@@ -793,7 +831,7 @@ def enumerate_causes(model: CausalModel | ExtendedCausalModel,
     if max_conjuncts < 1:
         raise InvalidBound(f"max_conjuncts {max_conjuncts} is below 1")
     engine = _Engine(model, context, effect, max_vars=max_vars)
-    if not eval_event(engine.actual, effect):
+    if not engine.holds:
         raise EffectNotActual(
             "the effect does not hold in the actual world (AC1 can never hold)")
     found: list[CandidateCause] = []

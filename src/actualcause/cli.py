@@ -2,13 +2,15 @@
 
 Exit codes: 0 when the verdict is true (or the result list is nonempty),
 1 when false or empty, 2 for usage errors including an exceeded variable cap,
-3 for unreadable, unparsable, or semantically invalid inputs.
+3 for unreadable, unparsable, or semantically invalid inputs, and 141 when
+the reader of the output closes it early (as a shell reports SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Sequence
@@ -238,7 +240,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:  # no traceback, and no second error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

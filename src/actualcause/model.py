@@ -3,7 +3,8 @@
 A model pairs a signature (exogenous variables, endogenous variables, and a
 finite domain for each) with one mechanism per endogenous variable.  All
 operations here are pure: models, contexts, and assignments are never mutated
-after construction, so everything is safe to share across threads.
+after construction (the cause-checking plans a model keeps change no result),
+so everything is safe to share across threads.
 
 Values are plain Python ints or strings.  Contexts and assignments are plain
 dicts from variable name to value; validation happens at the operation
@@ -171,7 +172,7 @@ class CausalModel:
     """
 
     __slots__ = ("name", "signature", "mechanisms", "parents", "recursive",
-                 "order", "unverified_totality")
+                 "order", "unverified_totality", "plans")
 
     def __init__(self, name, signature, mechanisms, parents, recursive, order,
                  unverified_totality):
@@ -182,6 +183,7 @@ class CausalModel:
         self.recursive = recursive
         self.order = order                    # topological, None if cyclic
         self.unverified_totality = unverified_totality
+        self.plans: dict = {}  # cause-checking plans, see cause._Plan
 
     @property
     def endogenous(self) -> tuple[str, ...]:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -34,6 +38,7 @@ from actualcause import (
 )
 from actualcause import cause as cause_module
 from actualcause.cause import _FREE, SearchStats, Witness, _Engine, _verdict
+from actualcause.corpus import REGISTRY, all_golden_rows, load_example
 from actualcause.dsl import parse_query
 from actualcause.errors import (
     DisallowedActualWorld,
@@ -46,7 +51,9 @@ from actualcause.errors import (
     SearchSpaceTooLarge,
     UnknownVariable,
 )
+from actualcause.formula import And, Prim
 from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
+from actualcause.queries import run_query
 from conftest import mixed_domain_model, random_recursive_model
 
 
@@ -1514,3 +1521,165 @@ class TestReachWalk:
 
 def test_search_stats_is_exported():
     assert actualcause.SearchStats is SearchStats
+
+
+def replay(loaded, queries):
+    """The outcome of each query text on ``loaded``, in order."""
+    return [run_query(loaded, parse_query(text, loaded)) for text in queries]
+
+
+class TestPlans:
+    """Plans and worlds hang off the model object: every query on a model
+    that was queried before must answer exactly as on a fresh load."""
+
+    def test_queries_on_one_model_keep_to_their_own_plans(self):
+        """One model object under two allow rules, beside a consequent
+        contrast (a clause (a) goal of its own) and in two contexts."""
+        mixes = {
+            "noise_bottle": [
+                "check cause N=1 of BS3=1 context noisy",
+                "check cause N=1 of BS3=1 context noisy extended",
+                "witnesses for N=1 of BS3=1 context noisy",
+                "witnesses for N=1 of BS3=1 context noisy extended",
+                "contrast cause N=1 of BS3=1 vs BS3=0 context noisy extended",
+                "check cause ST=1 of BS3=1 context noisy extended",
+            ],
+            "april_showers": [
+                "contrast cause AS=1 of F=2 vs F=1 context base",
+                "check cause AS=1 of F=2 context base",
+                "contrast cause AS=1 of F=2 vs F=0 context base",
+            ],
+            "arson_disjunctive": [
+                f"check cause ML1=1 of FB=1 context {u}"
+                for u in ("u11", "u10", "u01", "u11", "u10")],
+        }
+        for key, queries in mixes.items():
+            loaded = load_example(key).loaded
+            for rounds in (queries, queries[::-1], queries):
+                assert replay(loaded, rounds) == [
+                    replay(load_example(key).loaded, [text])[0]
+                    for text in rounds], key
+            if key == "arson_disjunctive":  # one plan, a world per context
+                (plan,) = loaded.model.plans.values()
+                assert len(plan.worlds) == 3
+        loaded = load_example("noise_bottle").loaded
+        replay(loaded, mixes["noise_bottle"] * 2)
+        assert len(loaded.model.plans) == 3  # plain, allowed, contrasted
+        context = loaded.context("noisy")
+        first, second = (_Engine(loaded.extended(), context, p("BS3", 1))
+                         for _ in range(2))
+        assert first.plan is second.plan
+        assert first._cache is not second._cache
+        assert first.probe.__code__ is second.probe.__code__
+
+    def test_errors_repeat_on_every_call(self, corpus):
+        model = corpus["rock_refined"].loaded.model
+        context = corpus["rock_refined"].loaded.context("both")
+        cause = cause_of(p("ST", 1))
+        disallowed = ExtendedCausalModel(model, p("BS", 0))
+        cases = [
+            (DisallowedActualWorld, disallowed, context, p("BS", 1)),
+            (OutOfRangeValue, model, {**context, "UST": 7}, p("BS", 1)),
+            (OutOfRangeValue, model, {**context, "UST": [1]}, p("BS", 1)),
+            (UnknownVariable, model, {**context, "BS": 1}, p("BS", 1)),
+            (OutOfRangeValue, model, context, p("BS", 7)),
+            (OutOfRangeValue, model, context, p("BS", [1])),
+            (UnknownVariable, model, context, p("XX", 1)),
+        ]
+        for error, target, ctx, effect in cases:
+            messages = []
+            for _ in range(3):
+                with pytest.raises(error) as raised:
+                    is_actual_cause(CauseQuery(target, ctx, cause, effect))
+                messages.append(str(raised.value))
+            assert len(set(messages)) == 1, (error, messages)
+        # The good query between the bad ones still answers, and a formula
+        # that cannot be hashed gets a plan of its own with the same verdict.
+        for effect in (p("BS", 1), And((Prim("BS", 1),)), And([Prim("BS", 1)])):
+            assert is_actual_cause(
+                CauseQuery(model, context, cause, effect)).overall is True
+
+    def test_dropping_the_model_releases_its_plans(self):
+        loaded = load_example("noise_bottle").loaded
+        replay(loaded, ["check cause N=1 of BS3=1 context noisy",
+                        "check cause N=1 of BS3=1 context noisy extended"])
+        refs = [weakref.ref(plan) for plan in loaded.model.plans.values()]
+        assert len(refs) == 2 and all(ref() is not None for ref in refs)
+        del loaded
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_threads_sharing_models_agree(self, monkeypatch):
+        """Plans and worlds are filled without a lock, so threads that race
+        on one model may make an entry twice; with every table emptied at
+        each new entry, each answer is still the one a fresh model gives."""
+        monkeypatch.setattr(cause_module, "_PLANS_CAP", 1)
+        monkeypatch.setattr(cause_module, "_WORLDS_CAP", 1)
+        rows = [row for row in all_golden_rows() if row.key in (
+            "noise_bottle", "arson_disjunctive", "april_showers")]
+        shared = {row.key: load_example(row.key).loaded for row in rows}
+        expected = [replay(load_example(row.key).loaded, [row.query])[0]
+                    for row in rows]
+        answers = {}
+
+        def work(n):
+            answers[n] = [replay(shared[row.key], [row.query])[0]
+                          for row in rows[n:] + rows[:n]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,))
+                       for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(answers[n] == expected[n:] + expected[:n]
+                   for n in range(4))
+
+    def test_threads_on_one_fresh_world_agree(self):
+        """Threads that start at once on a model that no query has touched
+        race to make its plan and world and to read the world's parts at
+        their first witness; each lists what a fresh model lists."""
+        query = "witnesses for N=1 of BS3=1 context noisy extended"
+        expected = replay(load_example("noise_bottle").loaded, [query])
+        assert expected[0].witnesses
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                loaded = load_example("noise_bottle").loaded
+                start, answers = threading.Barrier(4), []
+
+                def work():
+                    start.wait()
+                    answers.append(replay(loaded, [query]))
+
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert answers == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_warm_and_cold_plans_agree_on_every_golden_row(self):
+        """Every golden row twice on one loaded corpus, the second time over
+        warm plans, and once on a fresh load: verdicts, witnesses in order,
+        clause outcomes and search counts are identical."""
+        rows = all_golden_rows()
+        assert len(rows) == 67
+        warm = {key: load_example(key).loaded for key in REGISTRY}
+        cold = {key: load_example(key).loaded for key in REGISTRY}
+        runs = [[replay(cases[row.key], [row.query])[0] for row in rows]
+                for cases in (warm, warm, cold)]
+        assert runs[0] == runs[1] == runs[2]
+        assert all(warm[key].model.plans for key in REGISTRY
+                   if any(row.key == key and not row.query.startswith("eval")
+                          for row in rows))

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import actualcause
 from actualcause.cli import main
 from actualcause.corpus import example_text
 from actualcause.dsl import load_model, parse_query
@@ -445,3 +450,30 @@ class TestOptionsByKind:
     def test_weak_needs_rather(self, capsys):
         code, out, _ = run(capsys, *self.argv("contrast"), "--weak")
         assert (code, out) == (2, "")
+
+
+def test_reader_that_closes_early_gets_no_traceback(tmp_path):
+    """A reader that closes the output after its first line ends the command
+    with exit code 141 and an empty stderr.  The witness list (3^6 entries,
+    about 160 KB) outgrows a pipe's buffer, so the command is still writing
+    when the pipe closes, whatever the scheduling."""
+    noise = [f"N{i}" for i in range(6)]
+    model = tmp_path / "wide.hpc"
+    model.write_text(
+        "model wide {\n  exo U : {0, 1}\n"
+        + "".join(f"  var {v} : {{0, 1}}\n" for v in ["X", "Y", *noise])
+        + "  eq X = U\n  eq Y = X\n"
+        + "".join(f"  eq {v} = U\n" for v in noise)
+        + "  context on { U = 1 }\n}\n")
+    src = str(Path(actualcause.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "actualcause.cli", "witnesses", str(model),
+         "--context", "on", "--cause", "X=1", "--effect", "Y=1", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (141, b"")
