@@ -12,13 +12,13 @@ a cause of an event formula under the three-clause counterfactual definition:
            subset of Z is pinned to its actual values leaves the effect true.
   AC3  No strict sub-conjunction of X=x already satisfies AC1 and AC2.
 
-Three definition variants are supported.  ``updated`` is the default reading
-of clause (b) above.  ``legacy`` quantifies (b) only over the full contingency
-set W (subsets of Z are still pinned arbitrarily); it is more permissive and
-kept for comparison.  ``strong`` additionally requires (c): clamping X to x
-forces the effect under *every* setting of W; its necessity direction demands
-that every full deviation of the cause tuple defeats the effect under the
-chosen contingency (see is_strong_cause).
+Three definition variants are supported, and they differ in three facts (one
+table, _Engine._FACTS).  ``updated`` is the reading above.  ``legacy``
+holds all of W at w' in (b) (subsets of Z are still pinned arbitrarily); it
+is more permissive and kept for comparison.  ``strong`` demands in (a) that
+every full deviation of the cause tuple defeats the effect under the chosen
+contingency, and adds (c): clamping X to x forces the effect under *every*
+setting of W (see is_strong_cause).
 
 In an extended model, an intervention scenario only participates in the
 quantifiers of AC2 when the total endogenous assignment it solves to is
@@ -391,7 +391,7 @@ class _Engine:
                              lambda: plan.world(model, context), _WORLDS_CAP)
         self._cache: dict[tuple, tuple[bool, bool, bool]] = {}
         self.probe = plan.probe(self._cache, given)
-        # Clause (b) verdicts per (legacy, cause variables) and pinned key.
+        # Clause (b) verdicts per (W held, cause variables) and pinned key.
         self._b_memo: dict[tuple, dict[tuple, bool]] = {}
         # Learned clause (b) violations per held key: the violating slots ->
         # (their reader, the pinned values seen there), see witnesses.
@@ -443,41 +443,37 @@ class _Engine:
         return base
 
     def _b_holds(self, pinned: tuple, held: tuple, free: tuple[int, ...],
-                 legacy: bool, base: int | None = None
-                 ) -> tuple[int, ...] | None:
+                 base: int | None = None) -> tuple[int, ...] | None:
         """Clause (b): pinning any subset of W at w' and any subset of the
         process side at its actual values must keep the effect true.  Returns
         None when it does, else the sorted slots of a violating subset.
 
-        ``held`` clamps the cause variables to the values that (b) restores,
-        so subsets of Z are taken over Z minus X; pinning a cause variable
-        again would only repeat a clamp.  ``pinned`` fixes the walk: it adds to
-        ``held`` every W-pin under the legacy reading, which applies only the
-        full contingency set, else only the pins off their actual values.
+        ``held`` clamps what (b) restores: the cause, so subsets of Z are
+        taken over Z minus X (pinning a cause variable again would only
+        repeat a clamp), or under the legacy reading, which applies only the
+        full contingency set, ``pinned`` itself, which leaves no W pin
+        optional; else the W pins of ``pinned`` are the optional ones.
 
-        A clamp deviates when its value is not actual: a held cause value, a
-        W pin of the subset, and under ``legacy`` every W pin of ``pinned``.
-        By induction over the model's order, a variable that is no strict
-        descendant of a deviating clamp keeps its actual value, so pinning it
-        there solves to the same world, and nothing reads a pin outside the
-        cone.  So for each subset of the W pins, smallest first, the walk
-        pins at their actual values only subsets of the slots that its
-        deviating clamps reach (their strict descendants in the cone), and
-        each skipped scenario has the outcome of a visited one.
-        Outside ``legacy``, ``pinned``'s values at the violating slots (a w'
+        A clamp deviates when its value is not actual: a clamp of ``held`` or
+        a W pin of the subset.  By induction over the model's order, a
+        variable that is no strict descendant of a deviating clamp keeps its
+        actual value, so pinning it there solves to the same world, and
+        nothing reads a pin outside the cone.  So for each subset of the W
+        pins, smallest first, the walk pins at their actual values only
+        subsets of the slots that its deviating clamps reach (their strict
+        descendants in the cone), and each skipped scenario has the outcome
+        of a visited one.  ``pinned``'s values at the violating slots (a w'
         pin, or ``_FREE`` for a pin at its actual value) name the violating
         scenario, which lies in the full walk of every pinned key of the same
         ``held`` that agrees with them there.  ``base``, the reach of the
         held deviations (see _deviation), is the same for every walk of one
-        ``held``, so a caller may pass it; under ``legacy`` it is computed.
+        ``held``, so a caller may pass it.
         """
-        if legacy:
-            held = pinned
-        if legacy or base is None:
+        if base is None:
             base = self._deviation(held)
         actual, reach, probe = self._actual_slots, self.plan.reach, self.probe
-        moved = [] if legacy else [(i, pinned[i]) for i in free
-                                   if pinned[i] is not _FREE]
+        moved = [] if held is pinned else [(i, pinned[i]) for i in free
+                                           if pinned[i] is not _FREE]
         still = [actual[i] for i in free if pinned[i] is _FREE]
         for k in range(len(moved) + 1):
             for moves in itertools.combinations(moved, k):
@@ -499,16 +495,25 @@ class _Engine:
                                 [i for i, _ in moves + pins]))
         return None
 
-    def _c_holds(self, held: tuple, w: list[int]) -> bool:
-        """Clause (c): X=x forces the effect no matter how the slots ``w``
-        of W are set.  Only W's relevant slots need passing: a screened one
-        cannot change a probe (see _relevant)."""
-        for key in itertools.product(*(self._values[i] if i in w else (h,)
-                                       for i, h in enumerate(held))):
-            holds, _, allowed = self.probe(key)
-            if allowed and not holds:
-                return False
-        return True
+    def _every(self, keys: Iterable[tuple], outcome: int) -> int | None:
+        """The universal quantifier of clause (c) and of strong clause (a):
+        every allowable scenario of ``keys`` must give ``outcome`` (0: the
+        effect holds, 1: the goal is reached).  Returns None when one does
+        not, else the index of the first allowable scenario, or -1 when none
+        is allowable."""
+        first = -1
+        for k, key in enumerate(keys):
+            outcomes = self.probe(key)
+            if outcomes[2] and not outcomes[outcome]:
+                return None
+            if outcomes[2] and first < 0:
+                first = k
+        return first
+
+    # Does (a) take every deviation in one block, (b) hold W too, (c) run?
+    _FACTS = {DefinitionVariant.UPDATED: (False, False, False),
+              DefinitionVariant.LEGACY: (False, True, False),
+              DefinitionVariant.STRONG: (True, False, True)}
 
     def witnesses(self, cause: CandidateCause, variant: DefinitionVariant,
                   stats: SearchStats, *,
@@ -521,8 +526,11 @@ class _Engine:
         declaration order.  ``x_override`` substitutes the cause values used
         on the (b)/(c) side, which implements the weak antecedent contrast.
 
-        A block is one contingency set W and, outside ``strong``, one x';
-        its settings run in domain-product order and a setting's position is
+        A block is one contingency set W and the deviations x' of the cause
+        that clause (a) takes (see _FACTS): one x' != x, or every full
+        deviation, each of which must then reach the goal (see _every), the
+        first allowable one in the cause's conjunct order being recorded.
+        Its settings run in domain-product order and a setting's position is
         its index in that order.  Clause (a) reads only W's relevant clamps R
         (see _relevant): a screened W slot is free in its key and ``_FREE``
         in the pinned key, so both keys depend on R and x' alone.  So each
@@ -543,24 +551,24 @@ class _Engine:
         reads only slots of R fails a survivor's whole box in every W with
         that R, so its table drops the row for good: unprobed at build, or in
         place when read after the call has learned more patterns.
-        ``legacy`` pins every W slot in its walk and keeps the exact memo
-        only.  ``settings_examined`` counts what a walk over every setting
+        ``legacy`` holds every W pin in its walk, so a failure is no pattern
+        that another pinned key could share: it keeps the exact memo only.
+        ``settings_examined`` counts what a walk over every setting
         would: a block adds its settings up to each yielded witness's
         position, and the rest at its end.
         """
+        every_x, hold_w, run_c = self._FACTS[variant]
         xvars = cause.vars
         held = self.key(zip(xvars, x_override if x_override is not None
                             else cause.values))
-        legacy = variant is DefinitionVariant.LEGACY
-        strong = variant is DefinitionVariant.STRONG
-        base = None if legacy else self._deviation(held)  # see _b_holds
-        memo = self._b_memo.setdefault((legacy, xvars), {})
-        learned = {} if legacy else self._learned.setdefault(held, {})
+        base = None if hold_w else self._deviation(held)  # see _b_holds
+        memo = self._b_memo.setdefault((hold_w, xvars), {})
+        learned = {} if hold_w else self._learned.setdefault(held, {})
         endo, values, probe, memo_get = (self.endo, self._values, self.probe,
                                          memo.get)
         free = tuple(i for i, v in enumerate(endo) if v not in xvars)
         # Clause (b) keys keep only the pins that fix the walk (see _b_holds).
-        pins = {i: tuple(x if legacy or x != self.actual[endo[i]] else _FREE
+        pins = {i: tuple(x if hold_w or x != self.actual[endo[i]] else _FREE
                          for x in values[i]) for i in free}
         held_cols = [(h,) for h in held]
         bits = [1 << i for i in range(len(endo))]
@@ -572,30 +580,30 @@ class _Engine:
             fixed_w is not None) else (
             w for k in range(len(free) + 1)
             for w in itertools.combinations(free, k))
-        if strong:
-            # One pass per w': clause (a) tries every deviation at once.
+        # (deviations, base columns) per block; see _FACTS.
+        if every_x:
             deviations = list(itertools.product(
                 *(tuple(v for v in self.domains[x] if v != val)
                   for x, val in zip(xvars, cause.values))))
             if not deviations:
                 return  # a single-valued cause variable admits no deviation
-            bases = [(None, [(_FREE,)] * len(endo))]
+            blocks = [(deviations, [(_FREE,)] * len(endo))]
         else:
             # Clamping X at its actual value can never satisfy both (a) and
             # (b); skipping it is verdict-preserving.
-            bases = [(x, [(b,) for b in self.key(zip(xvars, x))])
-                     for x in itertools.product(
-                         *(self.domains[x] for x in xvars))
-                     if x != cause.values]
+            blocks = [((x,), [(b,) for b in self.key(zip(xvars, x))])
+                      for x in itertools.product(
+                          *(self.domains[x] for x in xvars))
+                      if x != cause.values]
 
-        tables = {}  # (R, x') -> [learnt when last filtered, survivors]
+        tables = {}  # (R, block) -> [learnt when last filtered, survivors]
         learnt = 0  # patterns learned by this call
 
         def inside(r_mask):  # the learned patterns that read only R's slots
             return [group for slots, group in learned.items()
                     if all(r_mask >> i & 1 for i in slots)]
 
-        def survivors(r_mask, base_cols, x_prime):
+        def survivors(r_mask, devs, base_cols):
             """(value indices, x', pinned key) of each setting of the W slots
             in R = ``r_mask`` that passes clause (a) and no pattern inside R,
             in domain-product order; any other W slot is free in the probe and
@@ -612,14 +620,14 @@ class _Engine:
                 if retired and any(get(pinned) in seen
                                    for get, seen in retired):
                     continue
-                if strong:
-                    x_used = self._all_deviations_defeat(key, xvars,
-                                                         deviations)
+                if every_x:
+                    at = self._every((self.key(zip(xvars, x), key)
+                                      for x in devs), 1)
                 else:
                     _, reached, allowed = probe(key)
-                    x_used = x_prime if reached and allowed else None
-                if x_used is not None:
-                    table.append((indices, x_used, pinned))
+                    at = 0 if reached and allowed else None
+                if at is not None and at >= 0:
+                    table.append((indices, devs[at], pinned))
             return table
 
         def boxes(table, steps, screened):
@@ -644,11 +652,11 @@ class _Engine:
             size = prod(map(sizes.__getitem__, w))
             steps = None  # per relevant slot, made at the first survivor
             c_ok = parts = None  # clause (c) and the W parts, once per W
-            for k, (x_prime, base_cols) in enumerate(bases):
+            for k, (devs, base_cols) in enumerate(blocks):
                 entry = tables.get((r_mask, k))
                 if entry is None:
                     entry = tables[r_mask, k] = [
-                        learnt, survivors(r_mask, base_cols, x_prime)]
+                        learnt, survivors(r_mask, devs, base_cols)]
                 elif entry[0] != learnt and entry[1]:
                     entry[0], retired = learnt, inside(r_mask)
                     entry[1][:] = [row for row in entry[1] if not any(
@@ -683,11 +691,12 @@ class _Engine:
                         if learned and any(get(pinned) in seen
                                            for get, seen in learned.values()):
                             continue
-                        bad = self._b_holds(pinned, held, free, legacy, base)
+                        bad = self._b_holds(pinned, pinned if hold_w else held,
+                                            free, base)
                         if len(memo) >= _MEMO_CAP:
                             memo.clear()
                         ok = memo[pinned] = bad is None
-                        if not (ok or legacy):
+                        if not (ok or hold_w):
                             if sum(len(seen) for _, seen in
                                    learned.values()) >= _LEARNED_CAP:
                                 learned.clear()
@@ -697,10 +706,13 @@ class _Engine:
                             learnt += 1
                     if not ok:
                         continue
-                    if strong and c_ok is None:
-                        c_ok = self._c_holds(held, [
-                            i for i in w if r_mask >> i & 1])
-                    if strong and not c_ok:
+                    if run_c and c_ok is None:
+                        # Only W's relevant slots need passing: a screened
+                        # one cannot change a probe (see _relevant).
+                        c_ok = self._every(itertools.product(*(
+                            values[i] if r_mask >> i & 1 else (h,)
+                            for i, h in enumerate(held))), 0) is not None
+                    if run_c and not c_ok:
                         break
                     stats.settings_examined += at + 1 - done
                     done = at + 1
@@ -718,21 +730,6 @@ class _Engine:
                     w_prime = _nth([values[i] for i in w], at)
                     yield Witness(parts[0], x_part, _part(w_prime), parts[1])
                 stats.settings_examined += size - done
-
-    def _all_deviations_defeat(self, wkey: tuple, xvars: tuple[str, ...],
-                               deviations) -> tuple[Value, ...] | None:
-        """Strong clause (a): every full deviation of the cause tuple defeats
-        the effect under the contingency; returns the first allowable
-        deviation as the recorded x' (None if any fails or none is allowable).
-        """
-        first: tuple[Value, ...] | None = None
-        for x_dev in deviations:
-            _, reached, allowed = self.probe(self.key(zip(xvars, x_dev), wkey))
-            if allowed and not reached:
-                return None
-            if allowed and first is None:
-                first = x_dev
-        return first
 
     def first_witness(self, cause, variant, stats, **kw) -> Witness | None:
         return next(self.witnesses(cause, variant, stats, **kw), None)
@@ -893,17 +890,17 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
     ``antecedent_weak``:   X=x rather than X=x' caused the effect, and x'
                            fails only by not being actual: the no-side-effect
                            clause (b) accepts x' in place of x.
+
+    A fault that needs no model to show is refused before the model is read.
     """
-    engine = _Engine(query.model, query.context, query.effect, query.cause,
-                     defeat=effect_alternative if mode == "consequent" else None,
-                     max_vars=query.max_vars)
     cause, variant = query.cause, query.variant
     if mode == "consequent":
         if effect_alternative is None:
             raise NotContrastive("consequent contrast needs an alternative outcome")
+        engine = _Engine(query.model, query.context, query.effect, cause,
+                         defeat=effect_alternative, max_vars=query.max_vars)
         if satisfiable_together(engine.domains, query.effect, effect_alternative):
-            raise NotContrastive(
-                "the contrasted outcomes are jointly satisfiable")
+            raise NotContrastive("the contrasted outcomes are jointly satisfiable")
         return _verdict(engine, cause, variant, query.exclude_self)
 
     if mode not in ("antecedent_strong", "antecedent_weak"):
@@ -915,6 +912,8 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
     xvar, xval = cause.events[0].var, cause.events[0].value
     if value_alternative == xval:
         raise NotContrastive("the alternative value must differ from the actual one")
+    engine = _Engine(query.model, query.context, query.effect, cause,
+                     max_vars=query.max_vars)
     if value_alternative not in engine.model.domain_of(xvar):
         raise OutOfRangeValue(
             f"alternative value {value_alternative!r} outside domain of {xvar}")

@@ -179,6 +179,31 @@ class TestStrongCause:
         assert not is_strong_cause(single).overall
         assert is_strong_cause(pair).overall
 
+    def test_first_allowable_deviation_in_conjunct_order(self):
+        """Strong clause (a) records the first allowable full deviation in
+        the order the cause's conjuncts are written, not in declaration
+        order: with the deviation (V1=0, V0=0) forbidden, that is
+        (V1=0, V0=2), where declaration order would give (V0=0, V1=2)."""
+        three = Domain((0, 1, 2))
+        ranges = {"U": Domain((0, 1)), "V0": three, "V1": three,
+                  "V2": Domain((0, 1)), "V3": Domain((0, 1))}
+        model = build_model(Signature(("U",), ("V0", "V1", "V2", "V3"),
+                                      ranges), [
+            Mechanism.from_table("V0", ("U",), {(0,): 1, (1,): 1}),
+            Mechanism.from_table("V1", ("U",), {(0,): 1, (1,): 1}),
+            Mechanism.from_table("V2", ("V0", "V1"), {
+                row: int(row == (1, 1))
+                for row in itertools.product(range(3), repeat=2)}),
+            Mechanism.from_table("V3", ("V2",), {(0,): 0, (1,): 1})])
+        allowed = ExtendedCausalModel(model, Not(conj(p("V1", 0), p("V0", 0))))
+        query = CauseQuery(allowed, {"U": 0}, cause_of(p("V1", 1), p("V0", 1)),
+                           p("V3", 1), variant=DefinitionVariant.STRONG)
+        verdict = is_weak_cause(query)
+        assert verdict.overall and verdict.ac2c is True
+        assert verdict.witness.w_set == ()
+        assert verdict.witness.x_prime == (0, 2)
+        assert [w.x_prime for w in enumerate_witnesses(query)] == [(0, 2)]
+
     def test_singleton_strong_causes_are_actual_causes(self):
         for seed in range(40):
             model = random_recursive_model(seed)
@@ -399,6 +424,27 @@ class TestContrastive:
         query = CauseQuery(model, u, cause_of(p("AS", 1)), p("F", 2))
         with pytest.raises(NotContrastive):
             contrastive_cause(query, "consequent", effect_alternative=p("F", 2))
+
+    @pytest.mark.parametrize("cause, mode, alternatives, message", [
+        ((p("ST", 1),), "bogus", {}, "unknown contrast mode 'bogus'"),
+        ((p("ST", 1),), "consequent", {}, "needs an alternative outcome"),
+        ((p("ST", 1), p("BT", 1)), "antecedent_weak",
+         {"value_alternative": 0}, "needs a single-conjunct cause"),
+        ((p("ST", 1),), "antecedent_strong", {}, "needs an alternative value"),
+        ((p("ST", 1),), "antecedent_weak", {"value_alternative": 1},
+         "must differ from the actual one"),
+    ], ids=["mode", "outcome", "conjuncts", "value", "same_value"])
+    def test_contrast_is_refused_before_the_model_is_read(
+            self, cause, mode, alternatives, message):
+        """A contrast that no model can make sense of is refused first: in a
+        context that the model rejects, and without making a plan."""
+        loaded = load_example("rock_refined").loaded
+        for context in ({"UST": 9, "UBT": 1}, loaded.context("both")):
+            query = CauseQuery(loaded.model, context, cause_of(*cause),
+                               p("BS", 1))
+            with pytest.raises(NotContrastive, match=message):
+                contrastive_cause(query, mode, **alternatives)
+        assert len(loaded.model.plans) == 0
 
     def test_lit_match_rather_than_unlit(self, corpus):
         model, u = ctx(corpus, "arson_conjunctive", "u11")
@@ -1356,8 +1402,8 @@ class TestRelevantScan:
                     for pinned in itertools.product(*columns):
                         if any(get(pinned) in seen
                                for get, seen in groups.values()):
-                            assert engine._b_holds(pinned, held, free,
-                                                   False) is not None, label
+                            assert engine._b_holds(
+                                pinned, held, free) is not None, label
                             retired += 1
         assert retired > 100
 
@@ -1485,7 +1531,8 @@ class TestReachWalk:
                             if legacy or x != actual[endo[i]]))
                             for i, h in enumerate(held)]
                         for pinned in itertools.product(*columns):
-                            bad = engine._b_holds(pinned, held, free, legacy)
+                            bad = engine._b_holds(
+                                pinned, pinned if legacy else held, free)
                             full = reference_b_holds(engine, pinned, held,
                                                      free, legacy)
                             case = (label, var, value, pinned, legacy)
