@@ -50,6 +50,7 @@ from .errors import (
     OutOfRangeValue,
     SearchSpaceTooLarge,
     UnknownVariable,
+    UnknownVariant,
 )
 from .formula import (
     And,
@@ -71,6 +72,17 @@ class DefinitionVariant(str, Enum):
     UPDATED = "updated"
     LEGACY = "legacy"
     STRONG = "strong"
+
+
+def _variant(variant) -> DefinitionVariant:
+    """The DefinitionVariant that ``variant`` is or names by its value; the
+    one check of a variant, made before any model is read."""
+    try:
+        return DefinitionVariant(variant)
+    except ValueError:
+        raise UnknownVariant(
+            f"unknown definition variant {variant!r}; expected one of "
+            f"{', '.join(v.value for v in DefinitionVariant)}") from None
 
 
 @dataclass(frozen=True)
@@ -155,6 +167,9 @@ class CauseQuery:
     variant: DefinitionVariant = DefinitionVariant.UPDATED
     exclude_self: bool = False
     max_vars: int = DEFAULT_MAX_VARS
+
+    def __post_init__(self):
+        object.__setattr__(self, "variant", _variant(self.variant))
 
 
 # Key slot of a variable that the scenario leaves to its mechanism; not None,
@@ -825,6 +840,7 @@ def enumerate_causes(model: CausalModel | ExtendedCausalModel,
     Canonical order: conjunct count, then variable declaration order.  The
     search counts are added into ``stats`` when it is given.
     """
+    variant = _variant(variant)
     if max_conjuncts < 1:
         raise InvalidBound(f"max_conjuncts {max_conjuncts} is below 1")
     engine = _Engine(model, context, effect, max_vars=max_vars)
@@ -856,6 +872,7 @@ def active_processes(model: CausalModel | ExtendedCausalModel,
     Raises NoCause when no split works at all (AC2 fails outright).  The
     search counts are added into ``stats`` when it is given.
     """
+    variant = _variant(variant)
     engine = _Engine(model, context, effect, cause, max_vars=max_vars)
     stats = stats or SearchStats()
     if not engine.ac1(cause):
@@ -899,6 +916,10 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
             raise NotContrastive("consequent contrast needs an alternative outcome")
         engine = _Engine(query.model, query.context, query.effect, cause,
                          defeat=effect_alternative, max_vars=query.max_vars)
+        # This check makes the defeat goal imply "not effect", as clause (a)
+        # aiming at the bare negation does: so a scenario that reaches the
+        # goal fails the effect, and a contingency set whose relevant clamps
+        # hold no cause slot has no witness here either.
         if satisfiable_together(engine.domains, query.effect, effect_alternative):
             raise NotContrastive("the contrasted outcomes are jointly satisfiable")
         return _verdict(engine, cause, variant, query.exclude_self)

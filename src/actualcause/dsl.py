@@ -46,7 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import formula as fm
 from .cause import CandidateCause, DefinitionVariant
@@ -70,17 +70,18 @@ from .model import (
 
 RESERVED = {"case", "else", "if", "then", "min", "max"}
 
-# One alternative per lexeme, tried in order; the unnamed ones are layout and
-# comments.  ``\w`` is exactly ``str.isalnum`` plus ``_`` and ``\d`` exactly
-# ``str.isdecimal``, so an identifier is ``\w+`` whose first character passes
-# ``str.isalpha``, and ``int`` accepts every integer token.
-_LEXEME = re.compile(r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<int>\d+)"
+# Layout and comments, then one alternative per lexeme, tried in order, or
+# the end of the text; so each match is one lexeme with the layout before it,
+# and only a match at the end names no group.  ``\w`` is exactly
+# ``str.isalnum`` plus ``_`` and ``\d`` exactly ``str.isdecimal``, so an
+# identifier is ``\w+`` whose first character passes ``str.isalpha``, and
+# ``int`` accepts every integer token.
+_LEXEME = re.compile(r"(?:[ \t\r]+|#[^\n]*)*(?:(?P<newline>\n)|(?P<int>\d+)"
                      r"|(?P<ident>\w+)|(?P<punct><=>|=>|<-|!=|[{}()\[\],:=!&|+<>-])"
-                     r"|(?P<other>.)")
+                     r"|(?P<other>.)|\Z)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str          # 'ident', 'int', 'eof', or the punctuation itself
     text: str
     line: int
@@ -91,16 +92,18 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
     for match in _LEXEME.finditer(text):
-        kind, lexeme = match.lastgroup, match[0]
-        column = match.start() - line_start + 1
+        kind = match.lastgroup
+        if kind is None:
+            continue
         if kind == "newline":
             line, line_start = line + 1, match.end()
-        elif kind == "other" or (kind == "ident" and not lexeme[0].isalpha()):
+            continue
+        lexeme, column = match[kind], match.start(kind) - line_start + 1
+        if kind == "other" or (kind == "ident" and not lexeme[0].isalpha()):
             raise DslSyntaxError(f"unexpected character {lexeme[0]!r}",
                                  line, column)
-        elif kind is not None:
-            tokens.append(Token(lexeme if kind == "punct" else kind, lexeme,
-                                line, column))
+        tokens.append(Token(lexeme if kind == "punct" else kind, lexeme,
+                            line, column))
     tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -243,14 +246,12 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-
-    @property
-    def here(self) -> Token:
-        return self.tokens[self.pos]
+        self.here = tokens[0]  # the current token, tokens[pos]
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.here
         self.pos += 1
+        self.here = self.tokens[self.pos]
         return tok
 
     def fail(self, expected: str) -> None:

@@ -63,6 +63,11 @@ class EffectNotActual(CausalityError):
     """Cause enumeration requires the effect to hold in the actual world."""
 
 
+class UnknownVariant(CausalityError):
+    """A definition variant is neither a DefinitionVariant nor the value of
+    one."""
+
+
 class NoCause(CausalityError):
     """Process enumeration requires the candidate to be a weak cause first."""
 

@@ -118,8 +118,9 @@ class Mechanism:
 
     The rule is held either as an exhaustive table keyed by dependency-value
     tuples, or as a callable taking a {name: value} mapping.  build_model
-    materialises callables into tables whenever the dependency cross-product
-    is small enough to verify exhaustively.
+    checks tables in place, materialises callables into tables whenever the
+    dependency cross-product is small enough to verify exhaustively, and
+    gives the model its own copy of each such table.
     """
 
     __slots__ = ("target", "deps", "table", "fn")
@@ -242,12 +243,21 @@ def _topological_order(endogenous: tuple[str, ...],
 
 def _verify_mechanism(signature: Signature, mech: Mechanism,
                       totality_bound: int) -> tuple[Mechanism, bool]:
-    """Check totality and range; returns (normalised mechanism, verified)."""
+    """Check totality and range; returns (normalised mechanism, verified).
+
+    A table keyed by exactly the rows of the dependency product, with every
+    output in range, is total and is only copied; any other rule is walked
+    row by row, which finds the first fault (see build_model)."""
     dep_domains = [signature.domain_of(d).values for d in mech.deps]
     size = math.prod(len(values) for values in dep_domains)
     target_domain = signature.domain_of(mech.target)
+    exhaustive = size <= totality_bound
 
     if mech.table is not None:
+        if exhaustive and mech.table.keys() == set(
+                itertools.product(*dep_domains)) and all(
+                map(target_domain.values.__contains__, mech.table.values())):
+            return Mechanism.from_table(mech.target, mech.deps, mech.table), True
         for key in mech.table:
             if len(key) != len(mech.deps):
                 raise MissingMechanism(
@@ -259,7 +269,6 @@ def _verify_mechanism(signature: Signature, mech: Mechanism,
                         f"mechanism for {mech.target}: row key {key} uses a "
                         f"value outside its dependency's domain")
 
-    exhaustive = size <= totality_bound
     if exhaustive:
         rows: Iterable[tuple[Value, ...]] = itertools.product(*dep_domains)
     else:
@@ -291,9 +300,14 @@ def build_model(signature: Signature, mechanisms: Iterable[Mechanism], *,
                 verify: bool = True) -> CausalModel:
     """Validate mechanisms against the signature and derive graph facts.
 
-    Totality and output range are verified by exhaustive enumeration when the
-    dependency cross-product has at most ``totality_bound`` rows; larger
-    mechanisms are spot-checked and listed in ``unverified_totality``.
+    Totality and output range are verified exhaustively when the dependency
+    cross-product has at most ``totality_bound`` rows: a table in place, and
+    the model keeps its own copy; a function row by row, into a table.
+    Larger mechanisms are spot-checked and listed in ``unverified_totality``.
+    The first fault raises: a stray table key (wrong length, or a value
+    outside its dependency's domain) in table order, then a missing row
+    (MissingMechanism) or an out-of-range output (OutOfRangeOutput, with the
+    ``target`` and ``inputs``) in domain-product order.
     ``verify=False`` skips re-verification for rules already known total
     (submodels of verified models).
     """

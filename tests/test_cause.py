@@ -50,6 +50,7 @@ from actualcause.errors import (
     OutOfRangeValue,
     SearchSpaceTooLarge,
     UnknownVariable,
+    UnknownVariant,
 )
 from actualcause.formula import And, Prim
 from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
@@ -550,6 +551,43 @@ class TestValidationBoundary:
         query = CauseQuery(model, u, cause_of(event), p("BS", 1))
         with pytest.raises(error):
             self.ENTRY_POINTS[entry](query)
+
+
+class TestVariantBoundary:
+    """A variant is a DefinitionVariant or its value, converted once at the
+    entry point; anything else is refused before the model is read."""
+
+    CALLS = {
+        "is_actual_cause": lambda model, u, variant: is_actual_cause(
+            CauseQuery(model, u, cause_of(p("ST", 1)), p("BS", 1),
+                       variant=variant)),
+        "enumerate_causes": lambda model, u, variant: enumerate_causes(
+            model, u, p("BS", 1), variant=variant, max_conjuncts=2),
+        "active_processes": lambda model, u, variant: active_processes(
+            model, u, cause_of(p("ST", 1)), p("BS", 1), variant=variant),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_value_string_is_its_variant(self, corpus, entry):
+        model, u = ctx(corpus, "rock_refined", "both")
+        call = self.CALLS[entry]
+        for variant in DefinitionVariant:
+            assert call(model, u, variant.value) == call(model, u, variant)
+        if entry == "is_actual_cause":
+            verdict = call(model, u, "strong")
+            assert verdict.variant is DefinitionVariant.STRONG
+            assert verdict.ac2c is verdict.ac2
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_unknown_variant_is_refused_before_the_model_is_read(self,
+                                                                 entry):
+        loaded = load_example("rock_refined").loaded
+        for context in ({"UST": 9, "UBT": 1}, loaded.context("both")):
+            for variant in ("bogus", "STRONG", None):
+                with pytest.raises(UnknownVariant,
+                                   match="unknown definition variant"):
+                    self.CALLS[entry](loaded.model, context, variant)
+        assert len(loaded.model.plans) == 0
 
 
 class TestOracleAgreementSample:

@@ -9,11 +9,14 @@ verdict, the witnesses in order, the SearchStats, or the error type and
 message), and the lines of each (family, entry point) hash to the pinned
 SHA-256 prefix below.  A change that only makes the search cheaper keeps
 every pin; a change to a verdict, a witness, its order or a counter does not,
-and the failure prints that group's lines.
+and the failure prints that group's lines.  The same run also checks that
+every witness comes from a contingency set whose relevant clamps hold a cause
+slot, the fact that lets a search skip every other contingency set.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -40,7 +43,7 @@ from actualcause import (
     p,
     solve,
 )
-from actualcause.cause import SearchStats
+from actualcause.cause import SearchStats, _Engine
 from actualcause.errors import CausalityError
 
 
@@ -228,11 +231,50 @@ PINS = {
 }
 
 
+@functools.cache
+def recorded(family: str) -> tuple[dict[str, list[str]], int, list[str]]:
+    """family_lines(family), the number of witnesses that the searches of
+    all its entry points yielded, and those among them whose contingency set
+    W leaves every cause slot out of _relevant(x_mask | w_mask)."""
+    count, screened = [0], []
+    search = _Engine.witnesses
+
+    def recording(engine, cause, variant, stats, **kw):
+        x_mask = sum(1 << engine.index[v] for v in cause.vars)
+        for witness in search(engine, cause, variant, stats, **kw):
+            count[0] += 1
+            w_mask = sum(1 << engine.index[v] for v in witness.w_set)
+            if not engine._relevant(x_mask | w_mask) & x_mask:
+                screened.append(f"{engine.model.name} {variant.value} "
+                                f"{cause} {kw}: {witness}")
+            yield witness
+
+    _Engine.witnesses = recording
+    try:
+        lines = family_lines(family)
+    finally:
+        _Engine.witnesses = search
+    return lines, count[0], screened
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_differential(family):
     mismatched = []
-    for entry, lines in family_lines(family).items():
+    for entry, lines in recorded(family)[0].items():
         if digest(lines) != PINS[family, entry]:
             mismatched.append(f"== {family} {entry}: {digest(lines)}\n"
                               + "\n".join(lines))
     assert not mismatched, "\n".join(mismatched)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_witnesses_keep_a_cause_clamp_relevant(family):
+    """When every cause clamp is screened, clause (a)'s probe and clause
+    (b)'s probe with all W options pinned are one scenario, so a contingency
+    set W with _relevant(x_mask | w_mask) & x_mask == 0 has no witness: (a)
+    reaches a goal that implies "not effect" (contrastive_cause checks this
+    for its alternative outcome), and (b) then sees the effect fail.  No
+    entry point finds a witness there."""
+    _, count, screened = recorded(family)
+    assert count > 0
+    assert not screened, "\n".join(screened)

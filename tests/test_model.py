@@ -93,6 +93,66 @@ class TestBuildModel:
         assert err.value.target == "Y"
         assert err.value.inputs == {"X": 0}
 
+    # Y reads A in {0, 1, 2} and B in {0, 1}; rows in domain-product order.
+    AB = Signature((), ("A", "B", "Y"),
+                   {"A": Domain((0, 1, 2)), **binary("B", "Y")})
+    ROWS = list(itertools.product((0, 1, 2), (0, 1)))
+
+    def build_y(self, table):
+        return build_model(self.AB, [Mechanism.constant("A", 0),
+                                     Mechanism.constant("B", 0),
+                                     Mechanism.from_table("Y", ("A", "B"),
+                                                          table)])
+
+    def test_first_missing_row_in_domain_product_order(self):
+        table = {row: 0 for row in reversed(self.ROWS)
+                 if row not in ((1, 0), (2, 1))}
+        with pytest.raises(MissingMechanism,
+                           match=r"has no row for \{'A': 1, 'B': 0\}"):
+            self.build_y(table)
+        # A key that is no tuple matches no row, whatever its length.
+        table = {**{row: 0 for row in self.ROWS if row != (0, 1)},
+                 frozenset({0, 1}): 0}
+        with pytest.raises(MissingMechanism,
+                           match=r"has no row for \{'A': 0, 'B': 1\}"):
+            self.build_y(table)
+
+    @pytest.mark.parametrize("stray, error, message", [
+        ((0,), MissingMechanism, r"row \(0,\) does not match"),
+        ((0, 1, 0), MissingMechanism, r"row \(0, 1, 0\) does not match"),
+        ((3, 0), OutOfRangeValue, r"row key \(3, 0\) uses a value outside"),
+        ((0, 2), OutOfRangeValue, r"row key \(0, 2\) uses a value outside"),
+    ])
+    def test_stray_key_is_reported_before_any_row(self, stray, error,
+                                                  message):
+        # Row (0, 0) is missing and row (0, 1) is out of range as well.
+        table = {(0, 1): 2, **{row: 0 for row in self.ROWS[2:]}, stray: 0}
+        with pytest.raises(error, match=message):
+            self.build_y(table)
+
+    def test_first_out_of_range_output_in_domain_product_order(self):
+        table = {row: 0 for row in reversed(self.ROWS)}
+        table[2, 0] = table[1, 1] = 5
+        with pytest.raises(OutOfRangeOutput) as err:
+            self.build_y(table)
+        assert (err.value.target, err.value.inputs) == ("Y", {"A": 1, "B": 1})
+        # A missing row earlier in that order is found first.
+        del table[0, 1]
+        with pytest.raises(MissingMechanism,
+                           match=r"has no row for \{'A': 0, 'B': 1\}"):
+            self.build_y(table)
+
+    def test_model_keeps_its_own_table(self):
+        table = {row: row[0] % 2 for row in reversed(self.ROWS)}
+        mech = Mechanism.from_table("Y", ("A", "B"), table)
+        model = build_model(self.AB, [Mechanism.constant("A", 1),
+                                      Mechanism.constant("B", 0), mech])
+        assert model.mechanisms["Y"].table == table
+        assert model.unverified_totality == ()
+        mech.table[1, 0] = 0
+        table[1, 0] = 0
+        assert solve(model, {}) == {"A": 1, "B": 0, "Y": 1}
+
     def test_duplicate_and_missing_mechanisms(self):
         sig = Signature((), ("X", "Y"), binary("X", "Y"))
         with pytest.raises(DuplicateMechanism):
