@@ -248,15 +248,6 @@ def _nothing(_key: tuple) -> tuple:
     return ()
 
 
-def _nth(columns: list[tuple], at: int) -> tuple:
-    """The item at index ``at`` of the product of ``columns``."""
-    picked = []
-    for column in reversed(columns):
-        at, j = divmod(at, len(column))
-        picked.append(column[j])
-    return tuple(picked[::-1])
-
-
 class _Plan:
     """What the queries on one (model, allow rule, effect, goal) share: the
     formulas, checked once here, the kernel and a world per context (see
@@ -531,15 +522,16 @@ class _Engine:
               DefinitionVariant.STRONG: (True, False, True)}
 
     def witnesses(self, cause: CandidateCause, variant: DefinitionVariant,
-                  stats: SearchStats, *,
-                  fixed_w: tuple[str, ...] | None = None,
+                  stats: SearchStats, *, first_per_set: bool = False,
                   x_override: tuple[Value, ...] | None = None,
                   ) -> Iterator[Witness]:
         """Yield AC2 witnesses in canonical order.
 
-        ``fixed_w`` restricts the search to one contingency set, in
-        declaration order.  ``x_override`` substitutes the cause values used
-        on the (b)/(c) side, which implements the weak antecedent contrast.
+        ``first_per_set`` yields each contingency set's first witness only,
+        leaving the rest of the set uncounted as abandoning the scan would;
+        active_processes is one such scan.  ``x_override`` substitutes the
+        cause values used on the (b)/(c) side, which implements the weak
+        antecedent contrast.
 
         A block is one contingency set W and the deviations x' of the cause
         that clause (a) takes (see _FACTS): one x' != x, or every full
@@ -570,7 +562,9 @@ class _Engine:
         that another pinned key could share: it keeps the exact memo only.
         ``settings_examined`` counts what a walk over every setting
         would: a block adds its settings up to each yielded witness's
-        position, and the rest at its end.
+        position, and the rest at its end.  A W slot of a pinned key holds
+        w' itself, or ``_FREE`` when w' is the actual value (outside
+        ``legacy``), so a witness reads w' from its key; positions only count.
         """
         every_x, hold_w, run_c = self._FACTS[variant]
         xvars = cause.vars
@@ -582,8 +576,9 @@ class _Engine:
         endo, values, probe, memo_get = (self.endo, self._values, self.probe,
                                          memo.get)
         free = tuple(i for i, v in enumerate(endo) if v not in xvars)
+        actual = [value for _, value in self._actual_slots]
         # Clause (b) keys keep only the pins that fix the walk (see _b_holds).
-        pins = {i: tuple(x if hold_w or x != self.actual[endo[i]] else _FREE
+        pins = {i: tuple(x if hold_w or x != actual[i] else _FREE
                          for x in values[i]) for i in free}
         held_cols = [(h,) for h in held]
         bits = [1 << i for i in range(len(endo))]
@@ -591,10 +586,6 @@ class _Engine:
         x_mask = sum(bits[self.index[x]] for x in xvars)
         x_parts: dict[tuple, tuple] = {}
 
-        w_choices = [tuple(self.index[v] for v in fixed_w)] if (
-            fixed_w is not None) else (
-            w for k in range(len(free) + 1)
-            for w in itertools.combinations(free, k))
         # (deviations, base columns) per block; see _FACTS.
         if every_x:
             deviations = list(itertools.product(
@@ -660,7 +651,8 @@ class _Engine:
                                itertools.repeat(x_used),
                                itertools.product(*box))
 
-        for w in w_choices:
+        for w in (w for k in range(len(free) + 1)
+                  for w in itertools.combinations(free, k)):
             stats.partitions_examined += 1
             w_mask = sum(map(bits.__getitem__, w))
             r_mask = self._relevant(x_mask | w_mask) & w_mask
@@ -742,8 +734,13 @@ class _Engine:
                     x_part = x_parts.get(x_used)
                     if x_part is None:
                         x_part = x_parts[x_used] = _part(x_used)
-                    w_prime = _nth([values[i] for i in w], at)
+                    w_prime = tuple([actual[i] if pinned[i] is _FREE
+                                     else pinned[i] for i in w])
                     yield Witness(parts[0], x_part, _part(w_prime), parts[1])
+                    if first_per_set:
+                        break
+                if first_per_set and done:
+                    break  # the rest of this set goes uncounted
                 stats.settings_examined += size - done
 
     def first_witness(self, cause, variant, stats, **kw) -> Witness | None:
@@ -869,27 +866,24 @@ def active_processes(model: CausalModel | ExtendedCausalModel,
                      ) -> list[tuple[str, ...]]:
     """Inclusion-minimal process sets Z whose complement admits a witness.
 
+    One witness scan, stopped at each contingency set's first witness, gives
+    every admitting Z; read backwards, from the largest W down, smaller Z
+    come first, so each Z needs testing only against the minimal ones kept.
     Raises NoCause when no split works at all (AC2 fails outright).  The
     search counts are added into ``stats`` when it is given.
     """
     variant = _variant(variant)
     engine = _Engine(model, context, effect, cause, max_vars=max_vars)
-    stats = stats or SearchStats()
     if not engine.ac1(cause):
         raise NoCause(f"{cause} or the effect fails to hold in the actual world")
-    free = tuple(v for v in engine.endo if v not in cause.vars)
-    admitting: list[tuple[str, ...]] = []
-    for k in range(len(free) + 1):
-        for extra in itertools.combinations(free, k):
-            w_set = tuple(v for v in free if v not in extra)
-            if engine.first_witness(cause, variant, stats,
-                                    fixed_w=w_set) is not None:
-                admitting.append(tuple(v for v in engine.endo
-                                       if v not in w_set))
+    admitting = [w.z_vars() for w in engine.witnesses(
+        cause, variant, stats or SearchStats(), first_per_set=True)]
     if not admitting:
         raise NoCause(f"{cause} admits no witness against the effect")
-    minimal = [z for z in admitting
-               if not any(set(other) < set(z) for other in admitting)]
+    minimal = []
+    for z in reversed(admitting):
+        if not any(set(kept) < set(z) for kept in minimal):
+            minimal.append(z)
     minimal.sort(key=lambda z: (len(z), tuple(engine.index[v] for v in z)))
     return minimal
 

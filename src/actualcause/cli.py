@@ -177,6 +177,8 @@ def _report_text(outcome: QueryOutcome, wall_ms: float) -> list[str]:
     if outcome.kind == "process":
         for z in outcome.processes:
             lines.append("process: {" + ", ".join(z) + "}")
+        if not outcome.processes:
+            lines.append("no processes")
     lines.append(f"verdict: {'true' if outcome.verdict else 'false'}")
     lines.append(f"stats: {outcome.stats.partitions_examined} partitions, "
                  f"{outcome.stats.settings_examined} settings, "

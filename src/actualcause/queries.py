@@ -22,7 +22,7 @@ from .cause import (
     is_actual_cause,
 )
 from .dsl import LoadedModel, QueryDocument
-from .errors import UnknownIdentifier
+from .errors import NoCause, UnknownIdentifier
 from .formula import eval_formula
 from .model import Value
 
@@ -83,9 +83,12 @@ def run_query(loaded: LoadedModel, doc: QueryDocument, *,
                             stats=stats)
 
     if doc.kind == "process":
-        processes = active_processes(model, context, doc.cause, doc.effect,
-                                     variant=doc.variant, max_vars=max_vars,
-                                     stats=stats)
+        try:
+            processes = active_processes(model, context, doc.cause, doc.effect,
+                                         variant=doc.variant,
+                                         max_vars=max_vars, stats=stats)
+        except NoCause:  # an empty result, as for witnesses of a non-cause
+            processes = []
         return QueryOutcome("process", bool(processes), processes=processes,
                             stats=stats)
 

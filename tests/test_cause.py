@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import weakref
+from functools import partial
 
 import pytest
 
@@ -385,6 +386,32 @@ class TestActiveProcesses:
         model, u = ctx(corpus, "rock_refined", "both")
         with pytest.raises(NoCause):
             active_processes(model, u, cause_of(p("BT", 1)), p("BS", 1))
+
+    def test_one_scan_for_every_contingency_set(self, corpus, monkeypatch):
+        """All 16 contingency sets beside ST come from one witness scan,
+        with the counts of 16 scans each stopped at its first witness."""
+        scans = []
+        search = _Engine.witnesses
+
+        def counted(*args, **kwargs):
+            scans.append(kwargs)
+            return search(*args, **kwargs)
+        monkeypatch.setattr(_Engine, "witnesses", counted)
+        model, u = ctx(corpus, "rock_refined", "both")
+        stats = SearchStats()
+        assert active_processes(model, u, cause_of(p("ST", 1)), p("BS", 1),
+                                stats=stats) == [("ST", "SH", "BS")]
+        assert scans == [{"first_per_set": True}]
+        assert stats == SearchStats(16, 76)
+
+    def test_window_model_of_ten_variables(self):
+        model = window_model(0, 10)
+        actual = solve(model, {"U": 0})
+        stats = SearchStats()
+        assert active_processes(model, {"U": 0}, cause_of(p("V5", actual["V5"])),
+                                p("V9", actual["V9"]), stats=stats) == [
+            ("V5", "V7", "V9")]
+        assert stats == SearchStats(512, 17_624)
 
 
 class TestContrastive:
@@ -777,7 +804,7 @@ class TestProbeKernel:
             for x in model.endogenous[:-1]:
                 for variant in DefinitionVariant:
                     (new, new_stats), (ref, ref_stats) = run_both(
-                        engine, cause_of(p(x, actual[x])), variant, None,
+                        engine, cause_of(p(x, actual[x])), variant, False,
                         None, False)
                     assert (new, new_stats) == (ref, ref_stats)
 
@@ -1117,34 +1144,45 @@ def scan_engines(seed):
         yield f"seed {seed} {label}", engine, target
 
 
+def reference_first_per_set(engine, cause, variant, stats, x_override=None):
+    """The reference for a scan that stops each contingency set at its first
+    witness: the first witness of reference_witnesses over each set in turn,
+    in scan order, with the counts of those abandoned per-set scans added."""
+    free = [v for v in engine.endo if v not in cause.vars]
+    for k in range(len(free) + 1):
+        for w_set in itertools.combinations(free, k):
+            witness = next(reference_witnesses(engine, cause, variant, stats,
+                                               w_set, x_override), None)
+            if witness is not None:
+                yield witness
+
+
 def search_cases(engine):
-    """(cause, fixed_w, x_override) for every single-conjunct cause on an
-    actual value and one two-conjunct cause, then the first two single
-    causes under every contingency set fixed in turn and under every
-    alternative value."""
+    """(cause, first_per_set, x_override) for every single-conjunct cause on
+    an actual value and one two-conjunct cause, then the first two single
+    causes under every alternative value, each scanned in full and stopped
+    at each contingency set's first witness."""
     endo, actual = engine.endo, engine.actual
     singles = [cause_of(p(v, actual[v])) for v in endo[:-1]]
-    for cause in singles + [cause_of(p(endo[0], actual[endo[0]]),
-                                     p(endo[1], actual[endo[1]]))]:
-        yield cause, None, None
-    for cause in singles[:2]:
-        free = [v for v in endo if v not in cause.vars]
-        for k in range(len(free) + 1):
-            for w_set in itertools.combinations(free, k):
-                yield cause, w_set, None
-        for alt in engine.domains[cause.vars[0]]:
-            if alt != cause.values[0]:
-                yield cause, None, (alt,)
+    cases = [(cause, None) for cause in singles + [cause_of(
+        p(endo[0], actual[endo[0]]), p(endo[1], actual[endo[1]]))]]
+    cases += [(cause, (alt,)) for cause in singles[:2]
+              for alt in engine.domains[cause.vars[0]]
+              if alt != cause.values[0]]
+    for cause, x_override in cases:
+        for first_per_set in (False, True):
+            yield cause, first_per_set, x_override
 
 
-def run_both(engine, cause, variant, fixed_w, x_override, first_only):
+def run_both(engine, cause, variant, first_per_set, x_override, first_only):
     """Witnesses and counts of the engine's scan and of the reference."""
     results = []
-    for scan in (engine.witnesses, lambda *a, **kw: reference_witnesses(
-            engine, *a, **kw)):
+    reference = (reference_first_per_set if first_per_set
+                 else reference_witnesses)
+    for scan in (partial(engine.witnesses, first_per_set=first_per_set),
+                 partial(reference, engine)):
         stats = SearchStats()
-        found = scan(cause, variant, stats, fixed_w=fixed_w,
-                     x_override=x_override)
+        found = scan(cause, variant, stats, x_override=x_override)
         found = [next(found, None)] if first_only else list(found)
         results.append((found, stats))
     return results
@@ -1289,32 +1327,32 @@ class TestRelevantScan:
 
     def test_scan_matches_the_reference(self):
         compared = sort_needed = dropped = 0
-        for seed in range(10):
+        for seed in range(12):
             for label, engine, _ in scan_engines(seed):
-                for cause, fixed_w, x_override in search_cases(engine):
+                for cause, per_set, x_override in search_cases(engine):
                     for variant in DefinitionVariant:
                         for first_only in (False, True):
                             (new, new_stats), (ref, ref_stats) = run_both(
-                                engine, cause, variant, fixed_w, x_override,
+                                engine, cause, variant, per_set, x_override,
                                 first_only)
-                            case = (label, str(cause), fixed_w, x_override,
+                            case = (label, str(cause), per_set, x_override,
                                     variant, first_only)
                             assert new == ref, case
                             assert new_stats == ref_stats, case
                             compared += 1
-                            if (fixed_w is x_override is None
-                                    and not first_only):
+                            if not (per_set or x_override or first_only):
                                 sort_needed += sorted_blocks(engine, cause,
                                                              new)
-                    if fixed_w is x_override is None:
+                    if not per_set and x_override is None:
                         dropped += dropped_boxes(engine, cause)
         assert compared > 5000
         assert sort_needed > 0 and dropped > 0, (sort_needed, dropped)
 
     def test_contingency_sets_that_share_relevant_clamps(self):
         """Hub models, where most contingency sets share their relevant
-        clamps with others, match the reference under every variant, with a
-        fixed contingency set and with an alternative cause value."""
+        clamps with others, match the reference under every variant,
+        scanned in full and stopped at each contingency set's first witness,
+        and with an alternative cause value."""
         compared = shared = 0
         for seed in range(3):
             for label, engine, _ in hub_engines(seed):
@@ -1328,20 +1366,19 @@ class TestRelevantScan:
                              for w in itertools.combinations(free, k)]
                     shared += len(masks) - len({
                         engine._relevant(x_mask | m) & m for m in masks})
-                    cases = [(None, None), (("F0", "G", "S"), None),
-                             (("F1", "S"), None)]
-                    cases += [(None, (alt,)) for alt in engine.domains[
-                        names[0]] if len(names) == 1 and alt != actual[names[0]]]
-                    for (fixed_w, x_override), variant, first_only in (
+                    cases = [(False, None), (True, None)]
+                    cases += [(per_set, (alt,)) for per_set in (False, True)
+                              for alt in engine.domains[names[0]]
+                              if len(names) == 1 and alt != actual[names[0]]]
+                    for (per_set, x_override), variant, first_only in (
                             itertools.product(cases, DefinitionVariant,
                                               (False, True))):
-                        if fixed_w is not None:
-                            fixed_w = tuple(v for v in engine.endo
-                                            if v in fixed_w and v in free)
+                        if per_set and first_only:
+                            continue  # the first witness of either scan
                         (new, new_stats), (ref, ref_stats) = run_both(
-                            engine, cause, variant, fixed_w, x_override,
+                            engine, cause, variant, per_set, x_override,
                             first_only)
-                        case = (label, names, fixed_w, x_override, variant,
+                        case = (label, names, per_set, x_override, variant,
                                 first_only)
                         assert (new, new_stats) == (ref, ref_stats), case
                         compared += 1
@@ -1351,8 +1388,8 @@ class TestRelevantScan:
         """Window and chain models of eight variables, where learned patterns
         that read only a table's relevant clamps retire some of its rows:
         every variant, drained and stopped at the first witness, matches the
-        reference, over every contingency set, fixed ones and an alternative
-        cause value."""
+        reference, over every contingency set, stopped at each set's first
+        witness and with an alternative cause value."""
         compared = pruned = 0
         for make, seed in itertools.product((window_model, chain_model),
                                             range(3)):
@@ -1362,19 +1399,20 @@ class TestRelevantScan:
             engine = _Engine(model, context, p(endo[-1], actual[endo[-1]]))
             cause = cause_of(p(endo[0], actual[endo[0]]))
             free = endo[1:]
-            cases = [(None, None, first_only) for first_only in (False, True)]
-            cases += [(w, None, first_only) for w in (free[::2], free[1::3])
-                      for first_only in (False, True)]
-            cases.append((None, (1 - actual[endo[0]],), False))
-            for (fixed_w, x_override, first_only), variant in (
+            # Stopped at the first witness, both scans stop at the same one.
+            cases = [(per_set, x_override, first_only)
+                     for per_set, first_only in ((False, False),
+                                                 (False, True), (True, False))
+                     for x_override in (None, (1 - actual[endo[0]],))]
+            for (per_set, x_override, first_only), variant in (
                     itertools.product(cases, DefinitionVariant)):
                 (new, new_stats), (ref, ref_stats) = run_both(
-                    engine, cause, variant, fixed_w, x_override, first_only)
+                    engine, cause, variant, per_set, x_override, first_only)
                 assert (new, new_stats) == (ref, ref_stats), (
-                    model.name, fixed_w, x_override, variant, first_only)
+                    model.name, per_set, x_override, variant, first_only)
                 compared += 1
             pruned += pruned_rows(engine, cause)
-        assert compared == 6 * 7 * 3 and pruned > 0, pruned
+        assert compared == 6 * 6 * 3 and pruned > 0, pruned
 
     def test_full_caches_are_emptied_without_changing_a_result(
             self, monkeypatch):
@@ -1385,16 +1423,16 @@ class TestRelevantScan:
         monkeypatch.setattr(cause_module, "_MEMO_CAP", 4)
         monkeypatch.setattr(cause_module, "_LEARNED_CAP", 4)
         compared = 0
-        engines = [(label, engine) for seed in range(2)
+        engines = [(label, engine) for seed in range(3)
                    for label, engine, _ in itertools.chain(
                        scan_engines(seed), hub_engines(seed))]
         for label, engine in engines:
-            for cause, fixed_w, x_override in search_cases(engine):
+            for cause, per_set, x_override in search_cases(engine):
                 for variant in DefinitionVariant:
                     (new, new_stats), (ref, ref_stats) = run_both(
-                        engine, cause, variant, fixed_w, x_override, False)
+                        engine, cause, variant, per_set, x_override, False)
                     assert (new, new_stats) == (ref, ref_stats), (
-                        label, str(cause), fixed_w, x_override, variant)
+                        label, str(cause), per_set, x_override, variant)
                     compared += 1
             assert len(engine._cache) <= 4
             assert all(len(memo) <= 4 for memo in engine._b_memo.values())
@@ -1406,15 +1444,15 @@ class TestRelevantScan:
         for seed in range(6):
             for label, engine, _ in scan_engines(seed):
                 cases = list(search_cases(engine))
-                for cause, fixed_w, x_override in cases:
+                for cause, per_set, x_override in cases:
                     list(engine.witnesses(cause, DefinitionVariant.UPDATED,
-                                          SearchStats(), fixed_w=fixed_w,
+                                          SearchStats(), first_per_set=per_set,
                                           x_override=x_override))
                 learned, engine._learned = engine._learned, _Tripwire()
                 assert any(learned.values()) or seed % 3 != 1, label
-                for cause, fixed_w, x_override in cases:
+                for cause, per_set, x_override in cases:
                     (new, new_stats), (ref, ref_stats) = run_both(
-                        engine, cause, DefinitionVariant.LEGACY, fixed_w,
+                        engine, cause, DefinitionVariant.LEGACY, per_set,
                         x_override, False)
                     assert (new, new_stats) == (ref, ref_stats), label
 
@@ -1424,11 +1462,11 @@ class TestRelevantScan:
         retired = 0
         for seed in range(8):
             for label, engine, _ in scan_engines(seed):
-                for cause, fixed_w, x_override in search_cases(engine):
+                for cause, per_set, x_override in search_cases(engine):
                     for variant in (DefinitionVariant.UPDATED,
                                     DefinitionVariant.STRONG):
                         list(engine.witnesses(cause, variant, SearchStats(),
-                                              fixed_w=fixed_w,
+                                              first_per_set=per_set,
                                               x_override=x_override))
                 actual = [engine.actual[v] for v in engine.endo]
                 for held, groups in engine._learned.items():

@@ -254,6 +254,24 @@ class TestOtherCommands:
         assert code == 0
         assert "process: {ST, SH, BS}" in out
 
+    @pytest.mark.parametrize("cause, partitions", [
+        ("BT=1", 16),  # holds in the actual world, admits no witness
+        ("ST=0", 0),  # fails AC1, so nothing is searched
+    ])
+    def test_process_of_a_non_cause_is_an_empty_result(self, capsys, cause,
+                                                       partitions):
+        argv = ("process", corpus_path("rock_refined"), "--context", "both",
+                "--cause", cause, "--effect", "BS=1")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert "no processes" in out and "verdict: false" in out
+        assert f"stats: {partitions} partitions" in out
+        code, out, err = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert (code, err) == (1, "")
+        assert payload["processes"] == [] and payload["verdict"] is False
+        assert payload["stats"]["partitions_examined"] == partitions
+
     def test_contrast(self, capsys):
         code, _, _ = run(capsys, "contrast", corpus_path("april_showers"),
                          "--context", "base", "--cause", "AS=1",
