@@ -248,6 +248,58 @@ def _nothing(_key: tuple) -> tuple:
     return ()
 
 
+# Prefix tables per tuple of free-slot domain sizes (see _counts); emptied
+# when full.
+_SHAPES: dict[tuple[int, ...], tuple] = {}
+_SHAPES_CAP = 1 << 8
+
+
+def _prefix(sizes: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
+    """(before, after) over free slots 0..n-1 with domain ``sizes``:
+    ``before[m]`` is the number of settings of all sets of fewer than m
+    slots (``before[n + 1]``: of every set), and ``after[t][c]`` that of the
+    sets that take one slot c' < c and t slots after c'."""
+    n = len(sizes)
+    # e[c][t]: settings of the t-slot sets among slots c.., the elementary
+    # symmetric sums of the suffix's sizes.
+    e = [[1] + [0] * n for _ in range(n + 1)]
+    for c in range(n - 1, -1, -1):
+        for t in range(1, n - c + 1):
+            e[c][t] = e[c + 1][t] + sizes[c] * e[c + 1][t - 1]
+    return (list(itertools.accumulate(e[0], initial=0)),
+            [list(itertools.accumulate(
+                (sizes[c] * e[c + 1][t] for c in range(n)), initial=0))
+             for t in range(n)])
+
+
+def _counts(sizes: tuple[int, ...], blocks: int,
+            w: list[int] | None = None) -> tuple[int, int]:
+    """(partitions, settings) that a scan over every contingency set, then
+    each of its ``blocks`` blocks, then each setting, has examined when it
+    reaches the set ``w`` (sorted positions among the free slots, whose
+    domain sizes are ``sizes``), its partition counted, or in all when
+    ``w`` is None.  Sets run in (size, lex) order, so the partitions are
+    w's rank plus one, and the settings ``blocks`` times those of the sets
+    before w: those of fewer slots, and for each j those that agree with w
+    before its j-th slot and take an earlier one there (a rank counts the
+    same way with every size 1).  Setting p of block k of ``w`` adds
+    k * size(w) + p + 1 settings."""
+    (before, after), (first, later) = _kept(
+        _SHAPES, sizes, lambda: (_prefix(sizes), _prefix((1,) * len(sizes))),
+        _SHAPES_CAP)
+    if w is None:
+        return first[-1], blocks * before[-1]
+    m = len(w)
+    sets, settings, weight, lo = first[m] + 1, before[m], 1, 0
+    for j, c in enumerate(w):
+        t = m - j - 1
+        sets += later[t][c] - later[t][lo]
+        settings += weight * (after[t][c] - after[t][lo])
+        weight *= sizes[c]
+        lo = c + 1
+    return sets, blocks * settings
+
+
 class _Plan:
     """What the queries on one (model, allow rule, effect, goal) share: the
     formulas, checked once here, the kernel and a world per context (see
@@ -544,13 +596,16 @@ class _Engine:
         call keeps one survivor table per (R, x'), built at its first use by
         one product over R's columns: each setting of R that passes clause
         (a), in R's domain-product order, with its value indices.  A block
-        whose table is empty only adds its settings to the count.  Otherwise
-        each survivor stands for a box of settings, one per value of the
-        screened slots, at the position that its value indices times the
-        steps of R's slots in W give; the boxes come in position order unless
-        a screened slot precedes a relevant one, and are then sorted by
-        position.  Every setting of a box then runs one body: the clause (b)
-        memo, the learned patterns, the walk, clause (c), and the yield.
+        whose table is empty is skipped.  Rows are only ever retired, so an R
+        whose tables are empty in every block stays so: the call keeps a set
+        of such R, and a later W with one costs its mask, a _relevant lookup
+        and a set lookup.  Otherwise each survivor stands for a box of
+        settings, one per value of the screened slots, at the position that
+        its value indices times the steps of R's slots in W give; the boxes
+        come in position order unless a screened slot precedes a relevant
+        one, and are then sorted by position.  Every setting of a box then
+        runs one body: the clause (b) memo, the learned patterns, the walk,
+        clause (c), and the yield.
 
         Outside ``legacy`` a failed walk is learned as a pattern: its
         violating slots and the pinned values there (see _b_holds).  A pinned
@@ -560,11 +615,14 @@ class _Engine:
         place when read after the call has learned more patterns.
         ``legacy`` holds every W pin in its walk, so a failure is no pattern
         that another pinned key could share: it keeps the exact memo only.
-        ``settings_examined`` counts what a walk over every setting
-        would: a block adds its settings up to each yielded witness's
-        position, and the rest at its end.  A W slot of a pinned key holds
-        w' itself, or ``_FREE`` when w' is the actual value (outside
-        ``legacy``), so a witness reads w' from its key; positions only count.
+        ``stats`` counts what a scan over every setting would have examined,
+        but the scan loop counts nothing: the counts follow in closed form
+        from the free slots' domain sizes, the number of blocks and the
+        witness's (W, block, position) (see _counts), and ``stats`` gets
+        what is new since its last report at each yield and at the end, less
+        what ``first_per_set`` left uncounted.  A W slot of a pinned key
+        holds w' itself, or ``_FREE`` when w' is the actual value (outside
+        ``legacy``), so a witness reads w' from its key.
         """
         every_x, hold_w, run_c = self._FACTS[variant]
         xvars = cause.vars
@@ -651,14 +709,21 @@ class _Engine:
                                itertools.repeat(x_used),
                                itertools.product(*box))
 
-        for w in (w for k in range(len(free) + 1)
-                  for w in itertools.combinations(free, k)):
-            stats.partitions_examined += 1
+        # The partitions and settings reported to ``stats`` so far, and the
+        # settings that first_per_set left uncounted in the sets it has
+        # witnessed; see _counts.
+        shape = tuple(map(sizes.__getitem__, free))
+        told_sets = told = short = 0
+        dead = set()  # R masks whose tables are empty in every block
+        for w in itertools.chain.from_iterable(  # no block: no witness
+                itertools.combinations(free, k)
+                for k in range(len(free) + 1 if blocks else 0)):
             w_mask = sum(map(bits.__getitem__, w))
             r_mask = self._relevant(x_mask | w_mask) & w_mask
-            size = prod(map(sizes.__getitem__, w))
+            if r_mask in dead:
+                continue
             steps = None  # per relevant slot, made at the first survivor
-            c_ok = parts = None  # clause (c) and the W parts, once per W
+            c_ok = parts = None  # clause (c), W's parts and counts, once per W
             for k, (devs, base_cols) in enumerate(blocks):
                 entry = tables.get((r_mask, k))
                 if entry is None:
@@ -670,11 +735,11 @@ class _Engine:
                         get(row[2]) in seen for get, seen in retired)]
                 table = entry[1]
                 if not table:
-                    stats.settings_examined += size
                     continue
                 if steps is None:
                     # Value j of a W slot adds j times the number of settings
                     # of the slots after it to the position.
+                    size = prod(map(sizes.__getitem__, w))
                     step, steps, screened = size, [], {}
                     for i in w:
                         step //= sizes[i]
@@ -691,7 +756,6 @@ class _Engine:
                     # boxes' positions; positions are distinct.
                     if r_mask.bit_length() - 1 > min(screened):
                         found = sorted(found)
-                done = 0  # settings of this block already counted
                 for at, x_used, pinned in found:
                     ok = memo_get(pinned)  # None: not walked yet
                     if ok is None:
@@ -721,8 +785,6 @@ class _Engine:
                             for i, h in enumerate(held))), 0) is not None
                     if run_c and not c_ok:
                         break
-                    stats.settings_examined += at + 1 - done
-                    done = at + 1
                     if parts is None:
                         pairs = self.actual_pairs[0]  # made whole, then kept
                         if pairs is None:  # in one step, for racing threads
@@ -731,17 +793,30 @@ class _Engine:
                         parts = (_part(tuple([endo[i] for i in w])),
                                  _part(tuple([pair for i, pair in enumerate(
                                      pairs) if i not in w])))
+                        sets, before = _counts(shape, len(blocks),
+                                               [free.index(i) for i in w])
+                        stats.partitions_examined += sets - told_sets
+                        told_sets, before = sets, before - short
                     x_part = x_parts.get(x_used)
                     if x_part is None:
                         x_part = x_parts[x_used] = _part(x_used)
                     w_prime = tuple([actual[i] if pinned[i] is _FREE
                                      else pinned[i] for i in w])
+                    seen = before + k * size + at + 1
+                    stats.settings_examined += seen - told
+                    told = seen
                     yield Witness(parts[0], x_part, _part(w_prime), parts[1])
-                    if first_per_set:
+                    if first_per_set:  # the rest of this set goes uncounted
+                        short += (len(blocks) - k) * size - at - 1
                         break
-                if first_per_set and done:
-                    break  # the rest of this set goes uncounted
-                stats.settings_examined += size - done
+                else:
+                    continue
+                break  # clause (c) failed, or first_per_set took W's witness
+            if steps is None:  # no block of R has a survivor left
+                dead.add(r_mask)
+        sets, seen = _counts(shape, len(blocks))
+        stats.partitions_examined += sets - told_sets
+        stats.settings_examined += seen - short - told
 
     def first_witness(self, cause, variant, stats, **kw) -> Witness | None:
         return next(self.witnesses(cause, variant, stats, **kw), None)

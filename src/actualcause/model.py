@@ -13,6 +13,7 @@ boundary rather than through wrapper classes.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -226,19 +227,27 @@ class ExtendedCausalModel:
 
 def _topological_order(endogenous: tuple[str, ...],
                        parents: Mapping[str, tuple[str, ...]]) -> tuple[str, ...] | None:
-    """Deterministic Kahn order; ties broken by declaration order."""
-    endo_set = set(endogenous)
-    remaining = {t: {p for p in parents[t] if p in endo_set} for t in endogenous}
+    """Deterministic Kahn order; ties broken by declaration order: each step
+    places the earliest-declared variable whose endogenous parents are all
+    placed, from a heap of ready declaration indices.  None on a cycle."""
+    index = {v: i for i, v in enumerate(endogenous)}
+    waiting: list[int] = []  # unplaced endogenous parents per variable
+    children: list[list[int]] = [[] for _ in endogenous]
+    for i, var in enumerate(endogenous):
+        deps = {index[p] for p in parents[var] if p in index}
+        waiting.append(len(deps))
+        for dep in deps:
+            children[dep].append(i)
+    ready = [i for i, n in enumerate(waiting) if not n]  # sorted: a heap
     order: list[str] = []
-    placed: set[str] = set()
-    while len(order) < len(endogenous):
-        ready = next((v for v in endogenous
-                      if v not in placed and remaining[v] <= placed), None)
-        if ready is None:
-            return None
-        order.append(ready)
-        placed.add(ready)
-    return tuple(order)
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(endogenous[i])
+        for child in children[i]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                heapq.heappush(ready, child)
+    return tuple(order) if len(order) == len(endogenous) else None
 
 
 def _verify_mechanism(signature: Signature, mech: Mechanism,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -27,6 +28,7 @@ from actualcause.errors import (
     UndeclaredDependency,
     UnknownVariable,
 )
+from actualcause.model import _topological_order
 from conftest import random_recursive_model
 
 
@@ -190,6 +192,46 @@ class TestRecursion:
         model = corpus["rock_time_indexed"].loaded.model
         assert is_recursive(model)
         assert model.order.index("BS1") < model.order.index("H2")
+
+    @staticmethod
+    def _rescan_order(endogenous, parents):
+        """Kahn's order by rescanning the declarations for the first ready
+        variable at every step; None on a cycle."""
+        order, placed = [], set()
+        while len(order) < len(endogenous):
+            ready = next((v for v in endogenous if v not in placed and all(
+                p in placed for p in parents[v] if p in endogenous)), None)
+            if ready is None:
+                return None
+            order.append(ready)
+            placed.add(ready)
+        return tuple(order)
+
+    def test_heap_order_matches_the_rescan_order(self):
+        """Seeded random DAGs declared in a shuffled order, with exogenous
+        and repeated parents; each also with one edge from a later variable
+        to an earlier one (a cycle or not), with a self-loop added, and as
+        a ring of every variable."""
+        rng = random.Random(4_242)
+        checked = cyclic = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            names = [f"V{i}" for i in range(n)]
+            parents = {v: tuple(rng.choice(["U", *names[:i]])
+                                for _ in range(rng.randint(0, 4)))
+                       for i, v in enumerate(names)}
+            declared = tuple(rng.sample(names, n))
+            graphs = [dict(parents)]
+            a, b = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+            graphs.append({**parents, names[a]: parents[names[a]] + (names[b],)})
+            graphs.append({**parents, names[b]: parents[names[b]] + (names[b],)})
+            graphs.append({v: (names[i - 1],) for i, v in enumerate(names)})
+            for graph in graphs:
+                expected = self._rescan_order(declared, graph)
+                assert _topological_order(declared, graph) == expected
+                checked += 1
+                cyclic += expected is None
+        assert checked == 1_200 and 600 < cyclic < 900
 
 
 class TestSubmodel:
