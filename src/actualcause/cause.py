@@ -197,7 +197,12 @@ def _part(part: tuple) -> tuple:
 # clamps per clamp mask (see _Engine._relevant) and its reach masks per slot
 # (see _Engine._b_holds).  A source holds only slot numbers and generated
 # names, so plans of the same shape share one code object, one memo and one
-# reach list whatever their tables and values; emptied when full.
+# reach list whatever their tables and values; emptied when full.  It serves
+# callers that rebuild models of one shape: bench/run.py re-runs each
+# workload's set-up between passes, so every pass queries fresh models of
+# the same shapes.  With each plan compiling its own kernel instead,
+# pass_s read 2.0-2.2x slower on onpath, 2.7-2.8x on offpath and 1.8-1.9x
+# on golden (two 8-s runs each, 2-core box, Python 3.11).
 _CODE: dict[str, tuple[CodeType, dict[int, int], list[int]]] = {}
 _CODE_CAP = 1 << 8
 _RELEVANCE_CAP = 1 << 12  # masks per kernel; a memo is emptied when full

@@ -128,21 +128,6 @@ class Cmp:
 
 
 @dataclass(frozen=True)
-class NotE:
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class AndE:
-    parts: tuple["Expr", ...]
-
-
-@dataclass(frozen=True)
-class OrE:
-    parts: tuple["Expr", ...]
-
-
-@dataclass(frozen=True)
 class Arith:
     op: str            # '+' or '-'
     left: "Expr"
@@ -168,7 +153,8 @@ class CaseE:
     default: "Expr | None"
 
 
-Expr = Lit | Name | Cmp | NotE | AndE | OrE | Arith | Call | IfE | CaseE
+# Equations share the event formulas' connectives, applied to 0/1 values.
+Expr = Lit | Name | Cmp | fm.Not | fm.And | fm.Or | Arith | Call | IfE | CaseE
 
 
 @dataclass(frozen=True)
@@ -331,12 +317,12 @@ class _Parser:
         return CaseE(tuple(arms), default)
 
     def expr_or(self) -> Expr:
-        return self.nary("|", lambda: self.nary("&", self.expr_not, AndE), OrE)
+        return self.junctions(self.expr_not)
 
     def expr_not(self) -> Expr:
         if self.here.kind == "!":
             self.advance()
-            return NotE(self.expr_not())
+            return fm.Not(self.expr_not())
         return self.expr_cmp()
 
     def expr_cmp(self) -> Expr:
@@ -392,9 +378,7 @@ class _Parser:
         return node
 
     def f_implies(self, causal: bool) -> fm.Formula:
-        def f_and():
-            return self.nary("&", lambda: self.f_unary(causal), fm.And)
-        node = self.nary("|", f_and, fm.Or)
+        node = self.junctions(lambda: self.f_unary(causal))
         if self.here.kind == "=>":
             self.advance()
             return fm.Or((fm.Not(node), self.f_implies(causal)))
@@ -442,6 +426,10 @@ class _Parser:
         """``operand (op operand)*``, wrapped in ``node`` when repeated."""
         parts = self.separated(operand, op)
         return parts[0] if len(parts) == 1 else node(tuple(parts))
+
+    def junctions(self, unary):
+        """The ``|`` and ``&`` layers above ``unary``, in both grammars."""
+        return self.nary("|", lambda: self.nary("&", unary, fm.And), fm.Or)
 
     def binding(self, arrow: str = "=") -> tuple[str, Value]:
         """``X = v``, or ``X <- v`` in an intervention."""
@@ -627,12 +615,12 @@ def _compile(stmt: EqStmt, signature: Signature
             if expr.op == "=":
                 return lambda env: int(left(env) == right(env))
             return lambda env: int(left(env) != right(env))
-        if isinstance(expr, NotE):
+        if isinstance(expr, fm.Not):
             body = truth(expr.body)
             return lambda env: 1 - body(env)
-        if isinstance(expr, (AndE, OrE)):
+        if isinstance(expr, (fm.And, fm.Or)):
             parts = [truth(p) for p in expr.parts]
-            decisive = int(isinstance(expr, OrE))
+            decisive = int(isinstance(expr, fm.Or))
 
             def junction(env):
                 for part in parts:
@@ -721,8 +709,7 @@ def build_document(doc: ModelDocument) -> LoadedModel:
 
     allow: fm.Formula | None = None
     if doc.allows:
-        parts = tuple(a.formula for a in doc.allows)
-        allow = parts[0] if len(parts) == 1 else fm.And(parts)
+        allow = fm.conj(*(a.formula for a in doc.allows))
         for stmt in doc.allows:
             try:
                 fm.validate_event_formula(model, stmt.formula)
@@ -913,8 +900,7 @@ def build_query(loaded: LoadedModel, kind: str, line: int | None = None,
 
 # Printer precedence: each node is parenthesised when printed at a level
 # above its own (1 or, 2 and, 3 negation, 4 comparison, 5 sum).
-_JUNCTIONS = {OrE: (" | ", 1), fm.Or: (" | ", 1),
-              AndE: (" & ", 2), fm.And: (" & ", 2)}
+_JUNCTIONS = {fm.Or: (" | ", 1), fm.And: (" & ", 2)}
 
 
 def formula_text(node: Expr | fm.Formula, level: int = 0) -> str:
@@ -928,7 +914,9 @@ def formula_text(node: Expr | fm.Formula, level: int = 0) -> str:
         return str(node.value)
     if isinstance(node, Name):
         return node.ident
-    if isinstance(node, NotE):
+    if isinstance(node, fm.Not):
+        if isinstance(node.body, fm.Prim):
+            return f"{node.body.var} != {node.body.value}"
         return f"!{formula_text(node.body, 3)}"
     if isinstance(node, Cmp):
         text = (f"{formula_text(node.left, 5)} {node.op} "
@@ -951,10 +939,6 @@ def formula_text(node: Expr | fm.Formula, level: int = 0) -> str:
         return "case { " + ", ".join(arms) + " }"
     if isinstance(node, fm.Prim):
         return f"{node.var} = {node.value}"
-    if isinstance(node, fm.Not):
-        if isinstance(node.body, fm.Prim):
-            return f"{node.body.var} != {node.body.value}"
-        return f"!({formula_text(node.body)})"
     if isinstance(node, fm.Basic):
         iv = ", ".join(f"{v} <- {x}" for v, x in node.intervention)
         brackets = ("<", ">") if node.diamond else ("[", "]")
@@ -1003,9 +987,8 @@ def document_from_model(model: CausalModel,
         arms = []
         for key, out in sorted(mech.table.items(),
                                key=lambda kv: tuple(map(repr, kv[0]))):
-            cond_parts = tuple(Cmp("=", Name(d), Lit(v))
-                               for d, v in zip(mech.deps, key))
-            cond = cond_parts[0] if len(cond_parts) == 1 else AndE(cond_parts)
+            cond = fm.conj(*(Cmp("=", Name(d), Lit(v))
+                             for d, v in zip(mech.deps, key)))
             arms.append((cond, Lit(out)))
         equations.append(EqStmt(name, CaseE(tuple(arms), None)))
     ctxs = tuple(ContextDecl(name, tuple(values.items()))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from .errors import NotRecursive, OutOfRangeValue, UnknownVariable
-from .model import Assignment, CausalModel, Value, solve, solve_all
+from .model import (Assignment, CausalModel, Value, _check_intervention,
+                    check_fixed_point, solve, solve_all)
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class Basic:
 
 
 Formula = Prim | Not | And | Or | Basic
-EventFormula = Prim | Not | And | Or
 
 
 def p(var: str, value: Value) -> Prim:
@@ -122,7 +122,6 @@ def validate_event_formula(model: CausalModel, formula: Formula) -> None:
 
 
 def validate_causal_formula(model: CausalModel, formula: Formula) -> None:
-    endo = set(model.endogenous)
     for leaf in _leaves(formula):
         if not isinstance(leaf, Basic):
             validate_event_formula(model, leaf)
@@ -131,31 +130,21 @@ def validate_causal_formula(model: CausalModel, formula: Formula) -> None:
         if len(set(names)) != len(names):
             raise UnknownVariable(
                 f"intervention clamps a variable twice: {names}")
-        for var, value in leaf.intervention:
-            if var not in endo:
-                raise UnknownVariable(
-                    f"cannot intervene on {var!r}: not endogenous")
-            if value not in model.domain_of(var):
-                raise OutOfRangeValue(
-                    f"intervention value {value!r} outside domain of {var}")
+        _check_intervention(model, dict(leaf.intervention))
         validate_event_formula(model, leaf.body)
 
 
 def eval_event(assignment: Mapping[str, Value], formula: Formula) -> bool:
     """Standard Boolean evaluation of an event formula at a total assignment."""
-    if isinstance(formula, Prim):
+    def leaf(f: Formula) -> bool:
+        if not isinstance(f, Prim):
+            raise UnknownVariable("intervention operators are not event formulas")
         try:
-            return assignment[formula.var] == formula.value
+            return assignment[f.var] == f.value
         except KeyError:
             raise UnknownVariable(
-                f"assignment does not cover {formula.var!r}") from None
-    if isinstance(formula, Not):
-        return not eval_event(assignment, formula.body)
-    if isinstance(formula, And):
-        return all(eval_event(assignment, part) for part in formula.parts)
-    if isinstance(formula, Or):
-        return any(eval_event(assignment, part) for part in formula.parts)
-    raise UnknownVariable("intervention operators are not event formulas")
+                f"assignment does not cover {f.var!r}") from None
+    return _truth(formula, leaf)
 
 
 def eval_formula(model: CausalModel, context: Mapping[str, Value],
@@ -192,7 +181,6 @@ def eval_nonrecursive(model: CausalModel, context: Mapping[str, Value],
     the least exercised corner of the package: treat verdicts that hinge on
     multiple or missing solutions with according care.
     """
-    from .model import check_fixed_point
     if not check_fixed_point(model, context, actual):
         raise ValueError("the designated actual world is not a solution")
 

@@ -250,8 +250,8 @@ def _topological_order(endogenous: tuple[str, ...],
     return tuple(order) if len(order) == len(endogenous) else None
 
 
-def _verify_mechanism(signature: Signature, mech: Mechanism,
-                      totality_bound: int) -> tuple[Mechanism, bool]:
+def _verify_mechanism(signature: Signature,
+                      mech: Mechanism) -> tuple[Mechanism, bool]:
     """Check totality and range; returns (normalised mechanism, verified).
 
     A table keyed by exactly the rows of the dependency product, with every
@@ -260,7 +260,7 @@ def _verify_mechanism(signature: Signature, mech: Mechanism,
     dep_domains = [signature.domain_of(d).values for d in mech.deps]
     size = math.prod(len(values) for values in dep_domains)
     target_domain = signature.domain_of(mech.target)
-    exhaustive = size <= totality_bound
+    exhaustive = size <= TOTALITY_CHECK_BOUND
 
     if mech.table is not None:
         if exhaustive and mech.table.keys() == set(
@@ -304,14 +304,13 @@ def _verify_mechanism(signature: Signature, mech: Mechanism,
 
 
 def build_model(signature: Signature, mechanisms: Iterable[Mechanism], *,
-                name: str | None = None,
-                totality_bound: int = TOTALITY_CHECK_BOUND,
-                verify: bool = True) -> CausalModel:
+                name: str | None = None, verify: bool = True) -> CausalModel:
     """Validate mechanisms against the signature and derive graph facts.
 
     Totality and output range are verified exhaustively when the dependency
-    cross-product has at most ``totality_bound`` rows: a table in place, and
-    the model keeps its own copy; a function row by row, into a table.
+    cross-product has at most ``TOTALITY_CHECK_BOUND`` rows: a table in
+    place, and the model keeps its own copy; a function row by row, into a
+    table.
     Larger mechanisms are spot-checked and listed in ``unverified_totality``.
     The first fault raises: a stray table key (wrong length, or a value
     outside its dependency's domain) in table order, then a missing row
@@ -346,7 +345,7 @@ def build_model(signature: Signature, mechanisms: Iterable[Mechanism], *,
     for target in signature.endogenous:
         mech = by_target[target]
         if verify:
-            mech, ok = _verify_mechanism(signature, mech, totality_bound)
+            mech, ok = _verify_mechanism(signature, mech)
             if not ok:
                 unverified.append(target)
         normalised[target] = mech

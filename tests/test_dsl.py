@@ -15,6 +15,9 @@ from actualcause import (
 from actualcause.cause import DefinitionVariant
 from actualcause.corpus import REGISTRY, example_text
 from actualcause.dsl import (
+    Cmp,
+    Lit,
+    Name,
     formula_text,
     parse_causal_formula,
     parse_event_formula,
@@ -256,6 +259,33 @@ class TestRoundTrip:
         assert serialize_model(doc) == text
         f = parse_causal_formula("!([A<-1](B=0 | A=1) & <>(B!=1))")
         assert formula_text(f) == "!([A <- 1](B = 0 | A = 1) & <>(B != 1))"
+
+    @pytest.mark.parametrize("equation, expr", [
+        ("!X", Not(Name("X"))),
+        ("!(A = 1 & B = 1)", Not(And((Cmp("=", Name("A"), Lit(1)),
+                                      Cmp("=", Name("B"), Lit(1)))))),
+        ("!!X", Not(Not(Name("X")))),
+    ])
+    def test_equation_negation_pins(self, equation, expr):
+        text = ("model pin {\n  exo U : {0, 1}\n  var X : {0, 1}\n"
+                "  var A : {0, 1}\n  var B : {0, 1}\n  var Y : {0, 1}\n"
+                "  eq X = U\n  eq A = U\n  eq B = X\n"
+                f"  eq Y = {equation}\n}}\n")
+        doc = parse_model(text)
+        assert doc.equations[-1].expr == expr
+        assert formula_text(expr) == equation
+        assert serialize_model(doc) == text
+        load_model(text)
+
+    @pytest.mark.parametrize("text, formula", [
+        ("X != v", Not(Prim("X", "v"))),
+        ("!(A = 1 | B = 1)", Not(Or((Prim("A", 1), Prim("B", 1))))),
+        ("(A = 1 | B = 1) & C = 1",
+         And((Or((Prim("A", 1), Prim("B", 1))), Prim("C", 1)))),
+    ])
+    def test_formula_pins(self, text, formula):
+        assert formula_text(formula) == text
+        assert parse_causal_formula(text) == formula
 
     def test_allow_clause_round_trips(self):
         doc = parse_model(example_text("noise_bottle"))

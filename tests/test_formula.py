@@ -14,9 +14,14 @@ from actualcause import (
     solve,
     solve_all,
 )
-from actualcause.errors import NotRecursive, UnknownVariable
-from actualcause.formula import entails, eval_trace, satisfiable_together
-from actualcause.model import Domain, Mechanism, Signature
+from actualcause.errors import NotRecursive, OutOfRangeValue, UnknownVariable
+from actualcause.formula import (
+    entails,
+    eval_trace,
+    satisfiable_together,
+    validate_causal_formula,
+)
+from actualcause.model import Domain, Mechanism, Signature, submodel
 from conftest import random_any_model
 
 
@@ -39,6 +44,26 @@ class TestEventEvaluation:
     def test_missing_variable(self):
         with pytest.raises(UnknownVariable):
             eval_event({"X": 1}, p("Y", 1))
+
+
+class TestCausalFormulaValidation:
+    def test_a_clamp_is_checked_as_any_intervention(self, corpus):
+        model = corpus["forest_fire"].loaded.model
+        exo = model.exogenous[0]
+        with pytest.raises(UnknownVariable) as via_model:
+            submodel(model, {exo: 0})
+        with pytest.raises(UnknownVariable) as via_formula:
+            validate_causal_formula(model, Basic(((exo, 0),), p("F", 1)))
+        assert str(via_formula.value) == str(via_model.value) == (
+            f"cannot intervene on {exo!r}: not an endogenous variable")
+
+    def test_value_and_repeat_faults(self, corpus):
+        model = corpus["forest_fire"].loaded.model
+        with pytest.raises(OutOfRangeValue, match="outside domain of L"):
+            validate_causal_formula(model, Basic((("L", 7),), p("F", 1)))
+        with pytest.raises(UnknownVariable, match="clamps a variable twice"):
+            validate_causal_formula(model, Basic((("L", 7), ("L", 0)),
+                                                 p("F", 1)))
 
 
 class TestCounterfactualEvaluation:
