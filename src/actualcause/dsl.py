@@ -64,6 +64,7 @@ from .model import (
     Mechanism,
     Signature,
     Value,
+    _IDENT,
     _check_context,
     build_model,
 )
@@ -431,28 +432,26 @@ class _Parser:
         """The ``|`` and ``&`` layers above ``unary``, in both grammars."""
         return self.nary("|", lambda: self.nary("&", unary, fm.And), fm.Or)
 
-    def binding(self, arrow: str = "=") -> tuple[str, Value]:
-        """``X = v``, or ``X <- v`` in an intervention."""
-        var = self.ident("a variable name").text
-        self.expect(arrow, repr(arrow))
-        return var, self.value()
-
     def interventions(self, closer: str) -> tuple[tuple[str, Value], ...]:
+        seen: set[str] = set()
         items = () if self.here.kind == closer else \
-            tuple(self.separated(lambda: self.binding("<-")))
+            tuple(self.separated(lambda: self.assignment(seen, "<-")))
         self.expect(closer, repr(closer))
         return items
 
-    def assignment(self, seen: set[str]) -> tuple[str, Value]:
-        """``X = v`` of a context that has assigned ``seen`` so far; a
-        variable assigned twice is an error at its second assignment."""
-        tok = self.here
-        var, value = self.binding()
-        if var in seen:
-            raise DslSyntaxError(f"{var!r} is assigned twice",
-                                 tok.line, tok.column)
-        seen.add(var)
-        return var, value
+    def assignment(self, seen: set[str], arrow: str = "=",
+                   expected: str | None = None) -> tuple[str, Value]:
+        """``X = v``, or ``X <- v`` in an intervention, in a list that has
+        assigned ``seen`` so far; a variable assigned twice is an error at
+        its second assignment."""
+        var = self.ident("a variable name")
+        self.expect(arrow, expected or repr(arrow))
+        value = self.value()
+        if var.text in seen:
+            raise DslSyntaxError(f"{var.text!r} is assigned twice",
+                                 var.line, var.column)
+        seen.add(var.text)
+        return var.text, value
 
     def assignments(self) -> tuple[tuple[str, Value], ...]:
         """``{ X = v, ... }``; the commas are optional."""
@@ -467,12 +466,11 @@ class _Parser:
         return tuple(items)
 
     def conjunction(self) -> CandidateCause:
-        """A cause: ``X = x & Y = y ...``."""
-        def event() -> fm.Prim:
-            var = self.ident("a variable name").text
-            self.expect("=", "'=' (cause conjuncts are equalities)")
-            return fm.Prim(var, self.value())
-        return CandidateCause(tuple(self.separated(event, "&")))
+        """A cause: ``X = x & Y = y ...``, each variable at most once."""
+        seen: set[str] = set()
+        pairs = self.separated(lambda: self.assignment(
+            seen, expected="'=' (cause conjuncts are equalities)"), "&")
+        return CandidateCause(tuple(fm.Prim(var, v) for var, v in pairs))
 
 
 # -- model documents ----------------------------------------------------------
@@ -494,6 +492,9 @@ def parse_model(text: str) -> ModelDocument:
             var = parser.ident("a variable name")
             if var.text in RESERVED:
                 raise DslSyntaxError(f"{var.text!r} is a reserved word",
+                                     var.line, var.column)
+            if not _IDENT.match(var.text):
+                raise DslSyntaxError(f"illegal variable name {var.text!r}",
                                      var.line, var.column)
             parser.expect(":", "':'")
             parser.expect("{", "'{' opening the domain")

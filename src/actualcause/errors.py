@@ -47,6 +47,10 @@ class NotRecursive(CausalityError):
     """Operation requires an acyclic model; use solve_all / eval_nonrecursive."""
 
 
+class NotASolution(CausalityError, ValueError):
+    """A designated actual world does not solve the model's equations."""
+
+
 class SearchSpaceTooLarge(CausalityError):
     """An exhaustive enumeration would exceed its configured cap."""
 

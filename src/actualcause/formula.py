@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .errors import NotRecursive, OutOfRangeValue, UnknownVariable
+from .errors import (NotASolution, NotRecursive, OutOfRangeValue,
+                     UnknownVariable)
 from .model import (Assignment, CausalModel, Value, _check_intervention,
                     check_fixed_point, solve, solve_all)
 
@@ -182,7 +183,7 @@ def eval_nonrecursive(model: CausalModel, context: Mapping[str, Value],
     multiple or missing solutions with according care.
     """
     if not check_fixed_point(model, context, actual):
-        raise ValueError("the designated actual world is not a solution")
+        raise NotASolution("the designated actual world is not a solution")
 
     def leaf(f: Formula) -> bool:
         if isinstance(f, Basic):

@@ -3,9 +3,10 @@ small binary model.
 
 In each model, every variable reads any subset of the context U and the
 earlier variables, through any table: 156 models of two variables and
-49,608 of three.  The two-variable audit runs in tier-1 (see
-test_exhaustive.py).  The three-variable audit takes minutes, so it runs as
-a script that prints its counts and exits 1 on any disagreement:
+49,608 of three.  The two-variable audits run in tier-1 (see
+test_exhaustive.py), among them one of the oracle's all-change reading
+against its plain reading.  The three-variable audit takes minutes, so it
+runs as a script that prints its counts and exits 1 on any disagreement:
 
     PYTHONPATH=src python tests/exhaustive.py
 
@@ -34,7 +35,11 @@ from actualcause import (
     p,
     solve,
 )
-from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
+from actualcause.oracle import (
+    actual_cause_bruteforce,
+    weak_cause_all_change,
+    weak_cause_bruteforce,
+)
 
 VARIANTS = (DefinitionVariant.UPDATED, DefinitionVariant.LEGACY)
 
@@ -125,6 +130,28 @@ def weak_cause_audit(n: int = 3):
                     if got != expected:
                         wrong.append(f"{model.name} U={u} {variant.value} "
                                      f"{x} -> {y}: {got}, oracle {expected}")
+    return queries, wrong
+
+
+def all_change_audit(n: int = 2):
+    """(queries, disagreements) of the oracle's all-change reading against
+    its plain reading: every model in both contexts, every (cause, effect)
+    pair of single variables, the two the same variable included."""
+    queries, wrong = 0, []
+    for model in binary_models(n):
+        endo = model.endogenous
+        for u in (0, 1):
+            context = {"U": u}
+            actual = solve(model, context)
+            for x, y in itertools.product(endo, repeat=2):
+                events, effect = (p(x, actual[x]),), p(y, actual[y])
+                got = weak_cause_all_change(model, context, events, effect)
+                expected = weak_cause_bruteforce(model, context, events,
+                                                 effect)
+                queries += 1
+                if got != expected:
+                    wrong.append(f"{model.name} U={u} {x} -> {y}: "
+                                 f"all-change {got}, plain {expected}")
     return queries, wrong
 
 

@@ -223,6 +223,18 @@ class TestOtherCommands:
             assert code == 3 and not out, width
             assert err.startswith("error:") and "max_conjuncts" in err
 
+    def test_repeated_cause_or_clamp_variable_is_exit_three_at_its_token(
+            self, capsys):
+        model = corpus_path("rock_refined")
+        code, out, err = run(capsys, "check", model, "--context", "both",
+                             "--cause", "ST=1 & ST=1", "--effect", "BS=1")
+        assert (code, out) == (3, "")
+        assert err == "error: 1:8: 'ST' is assigned twice\n"
+        code, out, err = run(capsys, "eval", model, "--context", "both",
+                             "--formula", "[ST<-0, ST<-1](BS=0)")
+        assert (code, out) == (3, "")
+        assert err == "error: 1:9: 'ST' is assigned twice\n"
+
     def test_eval_and_trace(self, capsys):
         code, out, _ = run(capsys, "eval", corpus_path("arson_conjunctive"),
                            "--context", "u11",

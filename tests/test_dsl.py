@@ -229,6 +229,18 @@ class TestLexicalRules:
         assert err.value.message == f"unexpected character {char!r}"
         assert (err.value.line, err.value.column) == position
 
+    def test_identifier_outside_the_variable_name_rule_is_refused(self):
+        # X² lexes as an identifier, which a value may be but a declared
+        # variable may not.
+        text = ("model m {\n  exo U : {0, 1}\n  var X² : {0, 1}\n"
+                "  eq X² = U\n}")
+        with pytest.raises(DslSyntaxError) as err:
+            parse_model(text)
+        assert err.value.message == "illegal variable name 'X²'"
+        assert (err.value.line, err.value.column) == (3, 7)
+        assert load_model("model m {\n  exo U : {v², w}\n  var X : {0, 1}\n"
+                          "  eq X = (U = v²)\n}").model.endogenous == ("X",)
+
     def test_non_decimal_digit_in_a_query(self, corpus):
         loaded = corpus["arson_disjunctive"].loaded
         with pytest.raises(DslSyntaxError) as err:
@@ -384,6 +396,18 @@ class TestParseQuery:
             parse_query("check cause A=1 of D=1 context {UA=1, UB=0, UA=0}",
                         loaded)
         assert (err.value.line, err.value.column) == (1, 45)
+
+    @pytest.mark.parametrize("query, position", [
+        ("check cause A=1 & A=1 of D=1 context base", (1, 19)),
+        ("eval [A<-0, B<-1, A<-1](D=0) context base", (1, 19)),
+    ])
+    def test_repeated_cause_or_clamp_variable_is_rejected_at_its_token(
+            self, corpus, query, position):
+        loaded = corpus["prisoner"].loaded
+        with pytest.raises(DslSyntaxError) as err:
+            parse_query(query, loaded)
+        assert err.value.message == "'A' is assigned twice"
+        assert (err.value.line, err.value.column) == position
 
     def test_unknown_context_rejected(self, corpus):
         loaded = corpus["prisoner"].loaded

@@ -4,7 +4,7 @@ world, every single cause and the pair, under updated and legacy."""
 
 from __future__ import annotations
 
-from exhaustive import actual_cause_audit, binary_models
+from exhaustive import actual_cause_audit, all_change_audit, binary_models
 
 
 def test_model_counts():
@@ -15,3 +15,9 @@ def test_two_variable_actual_cause_audit():
     queries, wrong = actual_cause_audit(2)
     assert not wrong, "\n".join(wrong[:20])
     assert queries == 19_968
+
+
+def test_two_variable_all_change_audit():
+    queries, wrong = all_change_audit(2)
+    assert not wrong, "\n".join(wrong[:20])
+    assert queries == 1_248

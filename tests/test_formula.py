@@ -14,7 +14,12 @@ from actualcause import (
     solve,
     solve_all,
 )
-from actualcause.errors import NotRecursive, OutOfRangeValue, UnknownVariable
+from actualcause.errors import (
+    CausalityError,
+    NotRecursive,
+    OutOfRangeValue,
+    UnknownVariable,
+)
 from actualcause.formula import (
     entails,
     eval_trace,
@@ -193,6 +198,11 @@ class TestNonRecursiveEvaluation:
     def test_rejects_non_solution_anchor(self):
         model = self._cycle()
         with pytest.raises(ValueError):
+            eval_nonrecursive(model, {"U": 0}, {"X": 0, "Y": 1}, p("X", 0))
+
+    def test_non_solution_anchor_is_a_package_error(self):
+        model = self._cycle()
+        with pytest.raises(CausalityError, match="not a solution"):
             eval_nonrecursive(model, {"U": 0}, {"X": 0, "Y": 1}, p("X", 0))
 
 

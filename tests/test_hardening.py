@@ -302,3 +302,11 @@ class TestExtendedValidation:
         with pytest.raises(DisallowedActualWorld):
             is_weak_cause(CauseQuery(restricted, loaded.context("vacation"),
                                      cause_of(p("BW", 0)), p("PD", 1)))
+
+    def test_oracle_refuses_a_disallowed_actual_world_as_the_engine_does(
+            self, corpus):
+        loaded = corpus["plant_putin"].loaded
+        with pytest.raises(DisallowedActualWorld):
+            weak_cause_bruteforce(loaded.model, loaded.context("vacation"),
+                                  (p("BW", 0),), p("PD", 1),
+                                  allow=lambda world: world["PD"] == 0)
