@@ -176,9 +176,6 @@ class CauseQuery:
 # since a Domain may contain None.
 _FREE = object()
 
-# The eight probe outcomes; every cache entry points at one of them.
-_OUTCOMES = {o: o for o in itertools.product((False, True), repeat=3)}
-
 # One process-wide copy of each witness part (variable tuples, value tuples,
 # (variable, value) pairs and their tuples), so that callers that keep the
 # witnesses of many queries hold few objects.  Keys are reprs, which tell 1
@@ -206,11 +203,10 @@ def _part(part: tuple) -> tuple:
 _CODE: dict[str, tuple[CodeType, dict[int, int], list[int]]] = {}
 _CODE_CAP = 1 << 8
 _RELEVANCE_CAP = 1 << 12  # masks per kernel; a memo is emptied when full
-# Plans per model, worlds per plan, entries of an engine's probe cache, of
-# each of its clause (b) memos and values of the learned patterns per held
-# key; each is emptied in place when full, which costs only repeated work.
+# Plans per model, worlds per plan, entries of each of an engine's clause (b)
+# memos and values of the learned patterns per held key; each is emptied in
+# place when full, which costs only repeated work.
 _PLANS_CAP = _WORLDS_CAP = 1 << 6
-_CACHE_CAP = 1 << 18
 _MEMO_CAP = 1 << 16
 _LEARNED_CAP = 1 << 12
 
@@ -311,15 +307,16 @@ class _Plan:
     world).  Kept on the model, it holds no reference back to it.
 
     The kernel ``probe(key)`` gives (effect holds, clause-(a) goal reached,
-    allowable): straight-line Python over the cone, the endogenous
-    ancestors-or-self of what the effect, the goal and an allow formula
-    read (every variable for an allowable set or predicate), since no clamp
-    outside it can change an outcome.  It unpacks the key into locals, reads
-    each unclamped cone variable off its table in topological order
-    (``value_at`` serves function rules and missing rows) and evaluates the
-    formulas one connective per line.  Its source names only slots,
-    arguments and bound globals, so plans of one shape share its code,
-    relevance memo and reach masks through ``_CODE``."""
+    allowable), computed afresh on every call: straight-line Python over the
+    cone, the endogenous ancestors-or-self of what the effect, the goal and
+    an allow formula read (every variable for an allowable set or
+    predicate), since no clamp outside it can change an outcome.  It unpacks
+    the key into locals, reads each unclamped cone variable off its table in
+    topological order (``value_at`` serves function rules and missing rows)
+    and evaluates the formulas one connective per line.  Its source names
+    only slots, arguments and bound globals, so plans of one shape share its
+    code, relevance memo and reach masks through ``_CODE``; each world binds
+    the code once to its context's values."""
 
     def __init__(self, model: CausalModel, allowable, effect: Formula,
                  defeat: Formula | None):
@@ -347,13 +344,11 @@ class _Plan:
             if var not in cone:
                 cone.add(var)
                 todo.extend(d for d in model.parents[var] if d in self.index)
-        ns = self.ns = {"F": _FREE, "OUT": _OUTCOMES, "ENDO": endo,
-                        "A": allowable}
+        ns = self.ns = {"F": _FREE, "ENDO": endo, "A": allowable}
         ref = {v: f"s{i}" for i, v in enumerate(endo)}
         ref.update((u, f"c{j}") for j, u in enumerate(model.exogenous))
         slots = f"({''.join(ref[v] + ', ' for v in endo)})"
-        lines = ["r = GET(key)", "if r is not None:", " return r",
-                 f"{slots} = key"]
+        lines = [f"{slots} = key"]
         for v in (v for v in model.order if v in cone):
             i, mech = self.index[v], model.mechanisms[v]
             row = f"({''.join(ref[d] + ', ' for d in mech.deps)})"
@@ -367,9 +362,8 @@ class _Plan:
         goal = "not h" if defeat is None else emit(defeat)
         allow = ("True" if allowable is None else emit(allowable) if not whole
                  else f"bool(A(dict(zip(ENDO, {slots}))))")
-        lines += ["if len(CACHE) >= CAP:", " CACHE.clear()",
-                  f"CACHE[key] = r = OUT[h, {goal}, {allow}]", "return r"]
-        source = (f"def probe(key, GET, CACHE, CAP"
+        lines.append(f"return h, {goal}, {allow}")
+        source = (f"def probe(key"
                   f"{''.join(', ' + ref[u] for u in model.exogenous)}):\n "
                   + "\n ".join(lines))
 
@@ -385,28 +379,24 @@ class _Plan:
                                                       _CODE_CAP)
 
     def world(self, model: CausalModel, context: Mapping[str, Value]) -> tuple:
-        """(actual world, a box that a first witness fills with its (variable,
-        value) parts, see _Engine.witnesses, its values by slot, the context's
-        values, whether the effect holds) in ``context``, or
-        DisallowedActualWorld."""
+        """(actual world, its (variable, value) witness parts, its values by
+        slot, the kernel bound to the context's values, whether the effect
+        holds) in ``context``, or DisallowedActualWorld."""
         actual = solve(model, context)
-        given = tuple(context[u] for u in model.exogenous)
-        holds, _, allowed = self.probe({}, given)((_FREE,) * len(self.endo))
+        probe = FunctionType(self.code, self.ns, None,
+                             tuple(context[u] for u in model.exogenous))
+        holds, _, allowed = probe((_FREE,) * len(self.endo))
         if not allowed:
             raise DisallowedActualWorld(
                 "the solved actual world violates the allowable-settings rule")
-        return (actual, [None], tuple(enumerate(map(actual.get, self.endo))),
-                given, holds)
-
-    def probe(self, cache: dict, given: tuple) -> Callable[[tuple], tuple]:
-        """The kernel over ``cache`` in the context whose values are given."""
-        return FunctionType(self.code, self.ns, None,
-                            (cache.get, cache, _CACHE_CAP, *given))
+        return (actual, tuple(_part((v, actual[v])) for v in self.endo),
+                tuple(enumerate(map(actual.get, self.endo))), probe, holds)
 
 
 class _Engine:
-    """The search state of one query (probe cache, clause (b) memo, learned
-    patterns) over a plan and a world that queries share (see _Plan).
+    """The search state of one query (clause (b) memo, learned patterns)
+    over a plan and a world that queries share (see _Plan), whose kernel is
+    the engine's ``probe``.
 
     A scenario clamps some endogenous variables; its key holds one slot per
     endogenous variable in declaration order, with the clamped value or
@@ -414,12 +404,11 @@ class _Engine:
     clause (b) keys from products of per-slot columns, in domain-product
     order.  Clause (a) runs over the clamps that can reach what a probe reads
     (see _relevant), and clause (b) failures are learned as patterns over
-    their violating pins (see witnesses).  Each scenario's outcome is
-    memoised (the cache is emptied when it holds ``_CACHE_CAP`` entries),
-    which is what makes the subset quantifier in AC2(b) affordable: the same
-    scenarios recur across candidate witnesses.  ``defeat`` replaces the
-    effect's negation as the goal of clause (a) (used for contrastive
-    queries)."""
+    their violating pins (see witnesses).  Those, the clause (b) memo and
+    the survivor tables are what keep the subset quantifier in AC2(b)
+    affordable, so a probe is not memoised: it always runs the kernel.
+    ``defeat`` replaces the effect's negation as the goal of clause (a)
+    (used for contrastive queries)."""
 
     def __init__(self, model: CausalModel | ExtendedCausalModel,
                  context: Mapping[str, Value], effect: Formula,
@@ -449,11 +438,9 @@ class _Engine:
             if e.value not in model.domain_of(e.var):
                 raise OutOfRangeValue(
                     f"cause value {e.value!r} outside domain of {e.var}")
-        (self.actual, self.actual_pairs, self._actual_slots, given,
+        (self.actual, self.actual_pairs, self._actual_slots, self.probe,
          self.holds) = _kept(plan.worlds, tuple(context.items()),
                              lambda: plan.world(model, context), _WORLDS_CAP)
-        self._cache: dict[tuple, tuple[bool, bool, bool]] = {}
-        self.probe = plan.probe(self._cache, given)
         # Clause (b) verdicts per (W held, cause variables) and pinned key.
         self._b_memo: dict[tuple, dict[tuple, bool]] = {}
         # Learned clause (b) violations per held key: the violating slots ->
@@ -791,13 +778,9 @@ class _Engine:
                     if run_c and not c_ok:
                         break
                     if parts is None:
-                        pairs = self.actual_pairs[0]  # made whole, then kept
-                        if pairs is None:  # in one step, for racing threads
-                            pairs = self.actual_pairs[0] = tuple([
-                                _part((v, self.actual[v])) for v in endo])
                         parts = (_part(tuple([endo[i] for i in w])),
                                  _part(tuple([pair for i, pair in enumerate(
-                                     pairs) if i not in w])))
+                                     self.actual_pairs) if i not in w])))
                         sets, before = _counts(shape, len(blocks),
                                                [free.index(i) for i in w])
                         stats.partitions_examined += sets - told_sets

@@ -316,8 +316,7 @@ def build_model(signature: Signature, mechanisms: Iterable[Mechanism], *,
     outside its dependency's domain) in table order, then a missing row
     (MissingMechanism) or an out-of-range output (OutOfRangeOutput, with the
     ``target`` and ``inputs``) in domain-product order.
-    ``verify=False`` skips re-verification for rules already known total
-    (submodels of verified models).
+    ``verify=False`` skips verification: the rules are kept as given.
     """
     declared = set(signature.variables)
     endo_set = set(signature.endogenous)
@@ -399,7 +398,10 @@ def submodel(model: CausalModel,
     """Model with the intervened variables clamped and removed.
 
     Remaining mechanisms have the clamped variables substituted by their fixed
-    values; the dependency graph is recomputed from the restricted rules.
+    values, and the result is built and verified like any model: small rules
+    become tables again, and larger ones are spot-checked and listed in
+    ``unverified_totality``.  The dependency graph is recomputed from the
+    restricted rules.
     """
     _check_intervention(model, intervention)
     if not intervention:
@@ -414,27 +416,14 @@ def submodel(model: CausalModel,
     for target in new_endo:
         mech = model.mechanisms[target]
         fixed = {d: intervention[d] for d in mech.deps if d in intervention}
-        if not fixed:
-            new_mechs.append(mech)
-            continue
-        new_deps = tuple(d for d in mech.deps if d not in fixed)
-        if mech.table is not None:
-            table: dict[tuple[Value, ...], Value] = {}
-            positions = [i for i, d in enumerate(mech.deps) if d not in fixed]
-            for key, out in mech.table.items():
-                if all(key[i] == fixed[d] for i, d in enumerate(mech.deps)
-                       if d in fixed):
-                    table[tuple(key[i] for i in positions)] = out
-            new_mechs.append(Mechanism.from_table(target, new_deps, table))
-        else:
-            def restricted(env: Mapping[str, Value], _mech=mech, _fixed=fixed):
-                full = dict(env)
-                full.update(_fixed)
-                return _mech.value_at(full)
-            new_mechs.append(Mechanism.from_function(target, new_deps, restricted))
-
-    new_sig = Signature(sig.exogenous, new_endo, kept_ranges)
-    return build_model(new_sig, new_mechs, name=model.name, verify=False)
+        if fixed:
+            mech = Mechanism.from_function(
+                target, [d for d in mech.deps if d not in fixed],
+                lambda env, mech=mech, fixed=fixed: mech.value_at(
+                    {**env, **fixed}))
+        new_mechs.append(mech)
+    return build_model(Signature(sig.exogenous, new_endo, kept_ranges),
+                       new_mechs, name=model.name)
 
 
 def solve(model: CausalModel, context: Mapping[str, Value],

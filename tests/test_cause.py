@@ -579,6 +579,15 @@ class TestValidationBoundary:
         with pytest.raises(error):
             self.ENTRY_POINTS[entry](query)
 
+    @pytest.mark.parametrize("events, message", [
+        ((), "a candidate cause needs at least one conjunct"),
+        ((p("ST", 1), p("ST", 0)), "cause repeats a variable: ['ST', 'ST']"),
+    ], ids=["empty", "repeated"])
+    def test_malformed_cause_is_a_typed_error(self, events, message):
+        with pytest.raises(UnknownVariable) as err:
+            cause_of(*events)
+        assert str(err.value) == message
+
 
 class TestVariantBoundary:
     """A variant is a DefinitionVariant or its value, converted once at the
@@ -1416,10 +1425,9 @@ class TestRelevantScan:
 
     def test_full_caches_are_emptied_without_changing_a_result(
             self, monkeypatch):
-        """With the probe cache, the clause (b) memos and the learned
-        patterns of each held key capped at four entries, the scan still
-        matches the reference, and none grows past its cap."""
-        monkeypatch.setattr(cause_module, "_CACHE_CAP", 4)
+        """With the clause (b) memos and the learned patterns of each held
+        key capped at four entries, the scan still matches the reference,
+        and neither grows past its cap."""
         monkeypatch.setattr(cause_module, "_MEMO_CAP", 4)
         monkeypatch.setattr(cause_module, "_LEARNED_CAP", 4)
         compared = 0
@@ -1434,7 +1442,6 @@ class TestRelevantScan:
                     assert (new, new_stats) == (ref, ref_stats), (
                         label, str(cause), per_set, x_override, variant)
                     compared += 1
-            assert len(engine._cache) <= 4
             assert all(len(memo) <= 4 for memo in engine._b_memo.values())
             assert all(sum(len(seen) for _, seen in groups.values()) <= 4
                        for groups in engine._learned.values())
@@ -1635,11 +1642,13 @@ class TestReachWalk:
         model = true_chain(16)
         for variant in DefinitionVariant:
             engine = _Engine(model, {"U": 1}, p("C15", 1), max_vars=64)
+            kernel, probes = engine.probe, []
+            engine.probe = lambda key: probes.append(key) or kernel(key)
             verdict = _verdict(engine, cause_of(p("C0", 1)), variant)
             stats = verdict.stats
             assert (verdict.overall, stats.partitions_examined,
                     stats.settings_examined) == (True, 1, 1), variant
-            assert len(engine._cache) <= 16, (variant, len(engine._cache))
+            assert len(probes) <= 16, (variant, len(probes))
 
 
 def test_search_stats_is_exported():
@@ -1692,8 +1701,8 @@ class TestPlans:
         first, second = (_Engine(loaded.extended(), context, p("BS3", 1))
                          for _ in range(2))
         assert first.plan is second.plan
-        assert first._cache is not second._cache
-        assert first.probe.__code__ is second.probe.__code__
+        assert first.probe is second.probe  # one kernel per world
+        assert first._b_memo is not second._b_memo
 
     def test_errors_repeat_on_every_call(self, corpus):
         model = corpus["rock_refined"].loaded.model

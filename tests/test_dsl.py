@@ -3,7 +3,11 @@ from __future__ import annotations
 import pytest
 
 from actualcause import (
+    Domain,
+    Mechanism,
+    Signature,
     all_contexts,
+    build_model,
     document_from_model,
     load_model,
     parse_model,
@@ -209,6 +213,64 @@ class TestParseModel:
         assert parse_model(squashed) == parse_model(FIRE)
 
 
+SMALL = """model m {
+ exo U : {0, 1}
+ var X : {0, 1}
+ var Y : {0, 1}
+ eq X = U
+ eq Y = X
+ context c { U = 1 }
+}
+"""
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (SMALL.replace("var Y", "var X"), DslTypeError,
+     "4:2: variable 'X' declared twice"),
+    (SMALL.replace("Y : {0, 1}", "Y : {0, 1, 0}"), DslTypeError,
+     "4:2: domain of Y has duplicate values"),
+    (SMALL.replace("eq Y", "eq Z"), UnknownIdentifier,
+     "6:5: equation for undeclared 'Z'"),
+    (SMALL.replace("eq Y", "eq U"), DslTypeError,
+     "6:5: 'U' is exogenous and cannot have an equation"),
+    (SMALL.replace("eq Y = X", "eq X = 0"), DslTypeError,
+     "6:5: two equations for 'X'"),
+    (SMALL.replace(" eq Y = X\n", ""), DslTypeError,
+     "4:2: no equation for endogenous 'Y'"),
+    (SMALL.replace("}\n}", "}\n context c { U = 0 }\n}"), DslTypeError,
+     "8:2: two contexts named 'c'"),
+    (SMALL.replace(" context", " allow U = 1\n context"), DslTypeError,
+     "7:2: in allow clause: formula mentions non-endogenous variable 'U'"),
+    (SMALL.replace("var Y", "var case"), DslSyntaxError,
+     "4:6: 'case' is a reserved word"),
+    (SMALL.replace(" context", " bogus\n context"), DslSyntaxError,
+     "7:2: expected 'exo', 'var', 'eq', 'allow', or 'context', "
+     "found 'bogus'"),
+    (SMALL + " x", DslSyntaxError, "9:2: expected end of input, found 'x'"),
+    (SMALL.replace("eq Y = X", "eq Y = min(X)"), DslSyntaxError,
+     "6:9: min needs at least two arguments"),
+    ("explain cause X=1 of Y=1 context c", DslSyntaxError,
+     "1:1: unknown query kind 'explain'; expected check, causes, "
+     "witnesses, process, eval, or contrast"),
+    ("check cause X=1 of Y=1 context c variant bogus", DslSyntaxError,
+     "1:42: unknown variant 'bogus'"),
+    ("check cause X=1 of Y=1", DslSyntaxError,
+     "1:23: expected a 'context' clause, found 'end of input'"),
+    ("contrast cause X=1 of Y=1 context c", DslSyntaxError,
+     "1:27: expected 'vs' or 'rather', found 'context'"),
+])
+def test_document_and_query_diagnostics(text, error, message):
+    """Each check of a model document (``model ...``) or of a query on
+    SMALL raises its class at its position."""
+    with pytest.raises(CausalityError) as err:
+        if text.startswith("model"):
+            load_model(text)
+        else:
+            parse_query(text, load_model(SMALL))
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 class TestLexicalRules:
     def test_decimal_digits_of_any_script_are_integers(self):
         assert parse_event_formula("X=٣") == Prim("X", 3)
@@ -307,7 +369,8 @@ class TestRoundTrip:
         assert again.allows == doc.allows
 
     def test_table_form_serializes_as_exhaustive_case(self):
-        loaded = load_model(FIRE)
+        loaded = load_model(FIRE.replace(  # K has a constant mechanism
+            "eq F", "var K : {0, 1}\n  eq K = 1\n  eq F"))
         doc = document_from_model(loaded.model,
                                   contexts={"base": {"UL": 1, "UML": 1}})
         text = serialize_model(doc)
@@ -318,6 +381,16 @@ class TestRoundTrip:
                 loaded.model.mechanisms[var].table
         for context in all_contexts(loaded.model):
             assert solve(rebuilt.model, context) == solve(loaded.model, context)
+
+    def test_function_mechanism_has_no_document(self):
+        names = tuple(f"B{i}" for i in range(21))
+        sig = Signature(names, ("X",), {n: Domain((0, 1))
+                                        for n in names + ("X",)})
+        model = build_model(sig, [Mechanism.from_function(
+            "X", names, lambda env: max(env.values()))])  # spot-checked
+        with pytest.raises(DslTypeError,
+                           match="^mechanism for X has no table form$"):
+            document_from_model(model)
 
 
 class TestFormulaSyntax:
@@ -339,6 +412,12 @@ class TestFormulaSyntax:
         loaded = load_model(FIRE)
         with pytest.raises(UnknownIdentifier):
             parse_event_formula("F=9", loaded.model)
+
+    def test_equivalence_in_a_query_effect_desugars(self):
+        doc = parse_query("check cause X=1 of X=1 <=> Y=1 context c",
+                          load_model(SMALL))
+        x, y = Prim("X", 1), Prim("Y", 1)
+        assert doc.effect == And((Or((Not(x), y)), Or((Not(y), x))))
 
     def test_counterfactual_implication_desugars(self):
         loaded = load_model(FIRE)

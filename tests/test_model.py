@@ -132,6 +132,42 @@ class TestBuildModel:
         with pytest.raises(error, match=message):
             self.build_y(table)
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: Domain(()), OutOfRangeValue,
+         "a domain must contain at least one value"),
+        (lambda: Domain((0, 1, 0)), OutOfRangeValue,
+         "domain has duplicate values: (0, 1, 0)"),
+        (lambda: Signature(("U",), ("U", "X"), binary("U", "X")),
+         UnknownVariable,
+         "variables declared both exogenous and endogenous: ['U']"),
+        (lambda: Signature(("U", "U"), ("X",), binary("U", "X")),
+         UnknownVariable, "duplicate variable declaration"),
+        (lambda: Signature(("U",), ("X",), binary("U")), OutOfRangeValue,
+         "no domain declared for: ['X']"),
+        (lambda: Mechanism("X", ("U",), table={(0,): 0}, fn=lambda env: 0),
+         MissingMechanism,
+         "mechanism for X: supply exactly one of table or fn"),
+        (lambda: build_model(Signature(("U",), ("X",), binary("U", "X")), [
+            Mechanism.constant("U", 0), Mechanism.constant("X", 0)]),
+         UndeclaredDependency,
+         "mechanism target 'U' is not an endogenous variable"),
+        (lambda: build_model(Signature((), ("X",), binary("X")), [
+            Mechanism.from_table("X", ("X",), {(0,): 0, (1,): 1})]),
+         UndeclaredDependency, "mechanism for X may not depend on itself"),
+        (lambda: check_fixed_point(forest_fire(), {"U": 0},
+                                   {"L": 0, "ML": 0}),
+         UnknownVariable, "assignment does not cover 'F'"),
+        (lambda: check_fixed_point(forest_fire(), {"U": 0},
+                                   {"L": 0, "ML": 0, "F": 2}),
+         OutOfRangeValue, "assignment value 2 outside domain of F"),
+    ], ids=["empty_domain", "duplicate_value", "overlap", "repeated",
+            "no_domain", "table_and_fn", "exogenous_target", "self_loop",
+            "fixed_point_gap", "fixed_point_range"])
+    def test_malformed_input_is_a_typed_error(self, make, error, message):
+        with pytest.raises(error) as err:
+            make()
+        assert type(err.value) is error and str(err.value) == message
+
     def test_first_out_of_range_output_in_domain_product_order(self):
         table = {row: 0 for row in reversed(self.ROWS)}
         table[2, 0] = table[1, 1] = 5
@@ -276,6 +312,21 @@ class TestSubmodel:
             joint = submodel(model, {**first, **second})
             for context in all_contexts(model):
                 assert solve(stepwise, context) == solve(joint, context)
+
+    def test_spot_checked_rule_stays_flagged(self):
+        """A keeps its 128^3-row rule, too large to verify, in the
+        submodel that clamps B, and is still listed as unverified."""
+        exo = ("U1", "U2", "U3")
+        ranges = {u: Domain(tuple(range(128))) for u in exo}
+        sig = Signature(exo, ("A", "B"), {**ranges, **binary("A", "B")})
+        model = build_model(sig, [
+            Mechanism.from_function("A", exo, lambda env: env["U1"] % 2),
+            Mechanism.constant("B", 0)])
+        assert model.unverified_totality == ("A",)
+        sub = submodel(model, {"B": 1})
+        assert sub.unverified_totality == ("A",)
+        context = {"U1": 5, "U2": 0, "U3": 127}
+        assert solve(sub, context) == {"A": 1}
 
 
 class TestSolve:
