@@ -329,7 +329,7 @@ class _Plan:
                  if f is not None]
         for formula in reads:
             validate_event_formula(model, formula)
-        self.index = {v: i for i, v in enumerate(endo)}
+        index = self.index = {v: i for i, v in enumerate(endo)}
         self.domains = {v: model.domain_of(v).values for v in endo}
         self.values = tuple(self.domains.values())  # by slot
         self.worlds: dict[tuple, tuple] = {}
@@ -337,27 +337,27 @@ class _Plan:
         # The kernel: locals s<i> hold the key's endogenous slots, arguments
         # c<j> the context; cone variables are solved in topological order.
         todo = [v for f in reads for v in event_vars(f)]
-        self.reads = endo if whole else tuple(set(todo))  # see _relevant
+        self.reads = sum({1 << index[v] for v in (endo if whole else todo)})
         cone = set(endo) if whole else set()
         while todo:
             var = todo.pop()
             if var not in cone:
                 cone.add(var)
-                todo.extend(d for d in model.parents[var] if d in self.index)
+                todo.extend(d for d in model.parents[var] if d in index)
         ns = self.ns = {"F": _FREE, "ENDO": endo, "A": allowable}
         ref = {v: f"s{i}" for i, v in enumerate(endo)}
         ref.update((u, f"c{j}") for j, u in enumerate(model.exogenous))
         slots = f"({''.join(ref[v] + ', ' for v in endo)})"
         lines = [f"{slots} = key"]
         for v in (v for v in model.order if v in cone):
-            i, mech = self.index[v], model.mechanisms[v]
+            i, mech = index[v], model.mechanisms[v]
             row = f"({''.join(ref[d] + ', ' for d in mech.deps)})"
             ns[f"T{i}"], ns[f"M{i}"] = mech.table or {}, mech
             # A function rule, or a missing row, which value_at reports.
             lines += [f"if s{i} is F:", f" s{i} = T{i}.get({row}, F)",
                       f" if s{i} is F:",
                       f"  s{i} = M{i}.value_at(dict(zip(M{i}.deps, {row})))"]
-        emit = lambda f: _emit(f, self.index, lines, ns)
+        emit = lambda f: _emit(f, index, lines, ns)
         lines.append(f"h = {emit(effect)}")
         goal = "not h" if defeat is None else emit(defeat)
         allow = ("True" if allowable is None else emit(allowable) if not whole
@@ -372,7 +372,7 @@ class _Plan:
             for v in reversed(model.order):  # children first
                 for d in model.parents[v] if v in cone else ():
                     if d in masks:
-                        masks[d] |= masks[v] | 1 << self.index[v]
+                        masks[d] |= masks[v] | 1 << index[v]
             return (compile(source, "<probe>", "exec").co_consts[0], {},
                     list(masks.values()))
         self.code, self.relevance, self.reach = _kept(_CODE, source, compiled,
@@ -469,8 +469,7 @@ class _Engine:
         rel = self._relevance.get(mask)
         if rel is None:
             index, parents = self.index, self.model.parents
-            reads = sum(1 << index[v] for v in self.plan.reads)
-            live, rel = reads & ~mask, reads & mask
+            live, rel = self.plan.reads & ~mask, self.plan.reads & mask
             for var in reversed(self.model.order):  # children first
                 if live >> index[var] & 1:
                     for dep in parents[var]:
@@ -581,30 +580,32 @@ class _Engine:
         that clause (a) takes (see _FACTS): one x' != x, or every full
         deviation, each of which must then reach the goal (see _every), the
         first allowable one in the cause's conjunct order being recorded.
-        Its settings run in domain-product order and a setting's position is
-        its index in that order.  Clause (a) reads only W's relevant clamps R
-        (see _relevant): a screened W slot is free in its key and ``_FREE``
-        in the pinned key, so both keys depend on R and x' alone.  So each
-        call keeps one survivor table per (R, x'), built at its first use by
-        one product over R's columns: each setting of R that passes clause
-        (a), in R's domain-product order, with its value indices.  A block
-        whose table is empty is skipped.  Rows are only ever retired, so an R
-        whose tables are empty in every block stays so: the call keeps a set
-        of such R, and a later W with one costs its mask, a _relevant lookup
-        and a set lookup.  Otherwise each survivor stands for a box of
-        settings, one per value of the screened slots, at the position that
-        its value indices times the steps of R's slots in W give; the boxes
-        come in position order unless a screened slot precedes a relevant
-        one, and are then sorted by position.  Every setting of a box then
-        runs one body: the clause (b) memo, the learned patterns, the walk,
-        clause (c), and the yield.
+        W's settings run block by block, each block in domain-product order,
+        and a setting's position is its index in that order, so block k
+        starts at k times the number of settings of W.  Clause (a) reads only
+        W's relevant clamps R (see _relevant): a screened W slot is free in
+        its key and ``_FREE`` in the pinned key, so both keys depend on R and
+        the block alone.  So each call keeps one survivor table per R, built
+        at its first use by one product over R's columns per block: each
+        setting of R that passes clause (a), in block order and then R's
+        domain-product order, with its block and value indices.  Rows are
+        only ever retired, so an R whose table is empty stays so, and a later
+        W with that R costs its mask, a _relevant lookup and a dict lookup.
+        Otherwise each survivor stands for a box of settings, one per value
+        of the screened slots, at the position that its block and its value
+        indices times the steps of R's slots in W give; the boxes come in
+        position order unless a screened slot precedes a relevant one, and
+        are then sorted by position.  Every setting of a box then runs one
+        body: the clause (b) memo, the learned patterns, the walk, clause
+        (c), and the yield.
 
         Outside ``legacy`` a failed walk is learned as a pattern: its
         violating slots and the pinned values there (see _b_holds).  A pinned
         key that matches a pattern fails (b) without a walk.  A pattern that
         reads only slots of R fails a survivor's whole box in every W with
-        that R, so its table drops the row for good: unprobed at build, or in
-        place when read after the call has learned more patterns.
+        that R, so R's table drops the row for good the next time it is read
+        after the call has learned a pattern; a new table counts as never
+        filtered, so its rows are probed at build and filtered before use.
         ``legacy`` holds every W pin in its walk, so a failure is no pattern
         that another pinned key could share: it keeps the exact memo only.
         ``stats`` counts what a scan over every setting would have examined,
@@ -630,9 +631,9 @@ class _Engine:
         # Clause (b) keys keep only the pins that fix the walk (see _b_holds).
         pins = {i: tuple(x if hold_w or x != actual[i] else _FREE
                          for x in values[i]) for i in free}
-        held_cols = [(h,) for h in held]
         bits = [1 << i for i in range(len(endo))]
         sizes = [len(column) for column in values]
+        held_cols, spans = [(h,) for h in held], [range(n) for n in sizes]
         x_mask = sum(bits[self.index[x]] for x in xvars)
         x_parts: dict[tuple, tuple] = {}
 
@@ -652,51 +653,45 @@ class _Engine:
                           *(self.domains[x] for x in xvars))
                       if x != cause.values]
 
-        tables = {}  # (R, block) -> [learnt when last filtered, survivors]
+        tables = {}  # R -> [learnt when last filtered (-1: never), survivors]
         learnt = 0  # patterns learned by this call
 
-        def inside(r_mask):  # the learned patterns that read only R's slots
-            return [group for slots, group in learned.items()
-                    if all(r_mask >> i & 1 for i in slots)]
-
-        def survivors(r_mask, devs, base_cols):
-            """(value indices, x', pinned key) of each setting of the W slots
-            in R = ``r_mask`` that passes clause (a) and no pattern inside R,
-            in domain-product order; any other W slot is free in the probe and
-            ``_FREE`` in the pinned key, so every W with this R shares them."""
+        def survivors(r_mask):
+            """(block, value indices, x', pinned key) of each setting of the
+            slots of R = ``r_mask`` that passes clause (a), in block order and
+            then domain-product order (see above)."""
             relevant = [i for i in free if r_mask >> i & 1]
-            cols, rel_pins = base_cols.copy(), held_cols.copy()
+            rel_pins, table = held_cols.copy(), []
             for i in relevant:
-                cols[i], rel_pins[i] = values[i], pins[i]
-            retired = inside(r_mask)
-            table = []
-            for key, pinned, indices in zip(
-                    itertools.product(*cols), itertools.product(*rel_pins),
-                    itertools.product(*(range(sizes[i]) for i in relevant))):
-                if retired and any(get(pinned) in seen
-                                   for get, seen in retired):
-                    continue
-                if every_x:
-                    at = self._every((self.key(zip(xvars, x), key)
-                                      for x in devs), 1)
-                else:
-                    _, reached, allowed = probe(key)
-                    at = 0 if reached and allowed else None
-                if at is not None and at >= 0:
-                    table.append((indices, devs[at], pinned))
+                rel_pins[i] = pins[i]
+            for k, (devs, cols) in enumerate(blocks):
+                cols = cols.copy()
+                for i in relevant:
+                    cols[i] = values[i]
+                for key, pinned, indices in zip(
+                        itertools.product(*cols), itertools.product(*rel_pins),
+                        itertools.product(*map(spans.__getitem__, relevant))):
+                    if every_x:
+                        at = self._every((self.key(zip(xvars, x), key)
+                                          for x in devs), 1)
+                    else:
+                        _, reached, allowed = probe(key)
+                        at = 0 if reached and allowed else None
+                    if at is not None and at >= 0:
+                        table.append((k, indices, devs[at], pinned))
             return table
 
-        def boxes(table, steps, screened):
-            """(position, x', pinned key) of each setting in one block's
-            boxes, boxes in table order.  ``steps`` holds what one value of
-            each relevant slot adds to a position, and ``screened`` the
-            offsets of each screened slot."""
+        def boxes(table, size, steps, screened):
+            """(position, x', pinned key) of each setting in the boxes, boxes
+            in table order.  ``steps`` holds what one value of each relevant
+            slot adds to a position, and ``screened`` the offsets of each
+            screened slot."""
             offsets = list(map(sum, itertools.product(*screened.values())))
-            for indices, x_used, pinned in table:
+            for k, indices, x_used, pinned in table:
                 box = [(value,) for value in pinned]
                 for i in screened:
                     box[i] = pins[i]
-                at = sum(map(mul, indices, steps))
+                at = k * size + sum(map(mul, indices, steps))
                 yield from zip(map(at.__add__, offsets),
                                itertools.repeat(x_used),
                                itertools.product(*box))
@@ -706,102 +701,94 @@ class _Engine:
         # witnessed; see _counts.
         shape = tuple(map(sizes.__getitem__, free))
         told_sets = told = short = 0
-        dead = set()  # R masks whose tables are empty in every block
         for w in itertools.chain.from_iterable(  # no block: no witness
                 itertools.combinations(free, k)
                 for k in range(len(free) + 1 if blocks else 0)):
             w_mask = sum(map(bits.__getitem__, w))
             r_mask = self._relevant(x_mask | w_mask) & w_mask
-            if r_mask in dead:
+            entry = tables.get(r_mask)
+            if entry is None:
+                entry = tables[r_mask] = [-1, survivors(r_mask)]
+            table = entry[1]
+            if table and entry[0] != learnt:
+                # A pattern that reads only slots of R fails a row's whole box.
+                entry[0], inside = learnt, [
+                    group for slots, group in learned.items()
+                    if all(r_mask >> i & 1 for i in slots)]
+                if inside:
+                    table[:] = [row for row in table if not any(
+                        get(row[3]) in seen for get, seen in inside)]
+            if not table:  # rows are only ever retired: R stays dead
                 continue
-            steps = None  # per relevant slot, made at the first survivor
+            # Value j of a W slot adds j times the number of settings of the
+            # slots after it to the position.
+            size = prod(map(sizes.__getitem__, w))
+            step, steps, screened = size, [], {}
+            for i in w:
+                step //= sizes[i]
+                if r_mask >> i & 1:
+                    steps.append(step)
+                else:
+                    screened[i] = range(0, sizes[i] * step, step)
+            if not screened:
+                found = ((k * size + sum(map(mul, indices, steps)), x_used,
+                          pinned) for k, indices, x_used, pinned in table)
+            else:
+                found = boxes(table, size, steps, screened)
+                # A screened slot before the last relevant one mixes the
+                # boxes' positions; positions are distinct and block-major.
+                if r_mask.bit_length() - 1 > min(screened):
+                    found = sorted(found)
             c_ok = parts = None  # clause (c), W's parts and counts, once per W
-            for k, (devs, base_cols) in enumerate(blocks):
-                entry = tables.get((r_mask, k))
-                if entry is None:
-                    entry = tables[r_mask, k] = [
-                        learnt, survivors(r_mask, devs, base_cols)]
-                elif entry[0] != learnt and entry[1]:
-                    entry[0], retired = learnt, inside(r_mask)
-                    entry[1][:] = [row for row in entry[1] if not any(
-                        get(row[2]) in seen for get, seen in retired)]
-                table = entry[1]
-                if not table:
-                    continue
-                if steps is None:
-                    # Value j of a W slot adds j times the number of settings
-                    # of the slots after it to the position.
-                    size = prod(map(sizes.__getitem__, w))
-                    step, steps, screened = size, [], {}
-                    for i in w:
-                        step //= sizes[i]
-                        if r_mask >> i & 1:
-                            steps.append(step)
-                        else:
-                            screened[i] = range(0, sizes[i] * step, step)
-                if not screened:
-                    found = ((sum(map(mul, indices, steps)), x_used, pinned)
-                             for indices, x_used, pinned in table)
-                else:
-                    found = boxes(table, steps, screened)
-                    # A screened slot before the last relevant one mixes the
-                    # boxes' positions; positions are distinct.
-                    if r_mask.bit_length() - 1 > min(screened):
-                        found = sorted(found)
-                for at, x_used, pinned in found:
-                    ok = memo_get(pinned)  # None: not walked yet
-                    if ok is None:
-                        if learned and any(get(pinned) in seen
-                                           for get, seen in learned.values()):
-                            continue
-                        bad = self._b_holds(pinned, pinned if hold_w else held,
-                                            free, base)
-                        if len(memo) >= _MEMO_CAP:
-                            memo.clear()
-                        ok = memo[pinned] = bad is None
-                        if not (ok or hold_w):
-                            if sum(len(seen) for _, seen in
-                                   learned.values()) >= _LEARNED_CAP:
-                                learned.clear()
-                            get, seen = learned.setdefault(bad, (
-                                itemgetter(*bad) if bad else _nothing, set()))
-                            seen.add(get(pinned))
-                            learnt += 1
-                    if not ok:
+            for at, x_used, pinned in found:
+                ok = memo_get(pinned)  # None: not walked yet
+                if ok is None:
+                    if learned and any(get(pinned) in seen
+                                       for get, seen in learned.values()):
                         continue
-                    if run_c and c_ok is None:
-                        # Only W's relevant slots need passing: a screened
-                        # one cannot change a probe (see _relevant).
-                        c_ok = self._every(itertools.product(*(
-                            values[i] if r_mask >> i & 1 else (h,)
-                            for i, h in enumerate(held))), 0) is not None
-                    if run_c and not c_ok:
-                        break
-                    if parts is None:
-                        parts = (_part(tuple([endo[i] for i in w])),
-                                 _part(tuple([pair for i, pair in enumerate(
-                                     self.actual_pairs) if i not in w])))
-                        sets, before = _counts(shape, len(blocks),
-                                               [free.index(i) for i in w])
-                        stats.partitions_examined += sets - told_sets
-                        told_sets, before = sets, before - short
-                    x_part = x_parts.get(x_used)
-                    if x_part is None:
-                        x_part = x_parts[x_used] = _part(x_used)
-                    w_prime = tuple([actual[i] if pinned[i] is _FREE
-                                     else pinned[i] for i in w])
-                    seen = before + k * size + at + 1
-                    stats.settings_examined += seen - told
-                    told = seen
-                    yield Witness(parts[0], x_part, _part(w_prime), parts[1])
-                    if first_per_set:  # the rest of this set goes uncounted
-                        short += (len(blocks) - k) * size - at - 1
-                        break
-                else:
+                    bad = self._b_holds(pinned, pinned if hold_w else held,
+                                        free, base)
+                    if len(memo) >= _MEMO_CAP:
+                        memo.clear()
+                    ok = memo[pinned] = bad is None
+                    if not (ok or hold_w):
+                        if sum(len(seen) for _, seen in
+                               learned.values()) >= _LEARNED_CAP:
+                            learned.clear()
+                        get, seen = learned.setdefault(bad, (
+                            itemgetter(*bad) if bad else _nothing, set()))
+                        seen.add(get(pinned))
+                        learnt += 1
+                if not ok:
                     continue
-                break  # clause (c) failed, or first_per_set took W's witness
-            if steps is None:  # no block of R has a survivor left
-                dead.add(r_mask)
+                if run_c and c_ok is None:
+                    # Only W's relevant slots need passing: a screened one
+                    # cannot change a probe (see _relevant).
+                    c_ok = self._every(itertools.product(*(
+                        values[i] if r_mask >> i & 1 else (h,)
+                        for i, h in enumerate(held))), 0) is not None
+                if run_c and not c_ok:
+                    break
+                if parts is None:
+                    parts = (_part(tuple([endo[i] for i in w])),
+                             _part(tuple([pair for i, pair in enumerate(
+                                 self.actual_pairs) if i not in w])))
+                    sets, before = _counts(shape, len(blocks),
+                                           [free.index(i) for i in w])
+                    stats.partitions_examined += sets - told_sets
+                    told_sets, before = sets, before - short
+                x_part = x_parts.get(x_used)
+                if x_part is None:
+                    x_part = x_parts[x_used] = _part(x_used)
+                w_prime = tuple([actual[i] if pinned[i] is _FREE
+                                 else pinned[i] for i in w])
+                seen = before + at + 1
+                stats.settings_examined += seen - told
+                told = seen
+                yield Witness(parts[0], x_part, _part(w_prime), parts[1])
+                if first_per_set:  # the rest of this set goes uncounted
+                    short += len(blocks) * size - at - 1
+                    break
         sets, seen = _counts(shape, len(blocks))
         stats.partitions_examined += sets - told_sets
         stats.settings_examined += seen - short - told

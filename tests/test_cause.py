@@ -48,6 +48,7 @@ from actualcause.errors import (
     MissingMechanism,
     NoCause,
     NotContrastive,
+    NotRecursive,
     OutOfRangeValue,
     SearchSpaceTooLarge,
     UnknownVariable,
@@ -528,6 +529,11 @@ class TestContributoryClassification:
         query = CauseQuery(model, u, cause_of(p("BT", 1)), p("BS", 1))
         assert classify_contributory(query) == "not_a_cause"
 
+    def test_cause_failing_ac1_is_no_cause(self, corpus):
+        model, u = ctx(corpus, "rock_refined", "both")
+        query = CauseQuery(model, u, cause_of(p("BT", 0)), p("BS", 1))
+        assert classify_contributory(query) == "not_a_cause"
+
 
 class TestExtendedModels:
     def test_degenerate_restriction_changes_nothing(self, corpus):
@@ -588,6 +594,28 @@ class TestValidationBoundary:
             cause_of(*events)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("mode", ["antecedent_strong", "antecedent_weak"])
+    def test_alternative_value_outside_the_domain_is_a_typed_error(
+            self, corpus, mode):
+        model, u = ctx(corpus, "rock_refined", "both")
+        query = CauseQuery(model, u, cause_of(p("ST", 1)), p("BS", 1))
+        with pytest.raises(OutOfRangeValue,
+                           match="alternative value 7 outside domain of ST"):
+            contrastive_cause(query, mode, value_alternative=7)
+
+    def test_cyclic_model_is_refused(self):
+        sig = Signature(("U",), ("X", "Y"),
+                        {n: Domain((0, 1)) for n in ("U", "X", "Y")})
+        model = build_model(sig, [
+            Mechanism.from_table("X", ("Y",), {(0,): 0, (1,): 1}),
+            Mechanism.from_table("Y", ("X",), {(0,): 0, (1,): 1}),
+        ])
+        with pytest.raises(NotRecursive, match="requires a recursive model"):
+            is_actual_cause(CauseQuery(model, {"U": 0}, cause_of(p("X", 0)),
+                                       p("Y", 0)))
+        with pytest.raises(NotRecursive, match="requires a recursive model"):
+            enumerate_causes(model, {"U": 0}, p("Y", 0))
+
 
 class TestVariantBoundary:
     """A variant is a DefinitionVariant or its value, converted once at the
@@ -642,6 +670,18 @@ class TestOracleAgreementSample:
                         slow = weak_cause_bruteforce(model, context, events,
                                                      effect)
                         assert (fast.ac1 and fast.ac2) == slow
+
+    def test_false_conjunct_or_effect_is_no_weak_cause(self, corpus):
+        """Both checks refuse a cause or an effect that is false in the
+        actual world, without searching."""
+        model, u = ctx(corpus, "rock_refined", "both")
+        for events, effect in (((p("ST", 0),), p("BS", 1)),
+                               ((p("ST", 1), p("BT", 0)), p("BS", 1)),
+                               ((p("ST", 1),), p("BS", 0))):
+            assert not weak_cause_bruteforce(model, u, events, effect)
+            fast = is_weak_cause(CauseQuery(model, u, cause_of(*events),
+                                            effect))
+            assert not (fast.ac1 and fast.ac2) and not fast.overall
 
 
 def probes_match_solve(model, context, effect, allowable=None, allow=None,
@@ -1248,7 +1288,7 @@ def dropped_boxes(engine, cause):
 
 
 def pruned_rows(engine, cause):
-    """Survivors of an ``updated`` scan's (R, x') tables that the engine's
+    """Survivors of an ``updated`` scan's per-R tables that the engine's
     learned patterns retire for good: a relevant setting that passes clause
     (a), and a pattern that reads only slots of R and matches its pinned
     key.  Each distinct R counts once."""
@@ -1425,16 +1465,18 @@ class TestRelevantScan:
 
     def test_full_caches_are_emptied_without_changing_a_result(
             self, monkeypatch):
-        """With the clause (b) memos and the learned patterns of each held
-        key capped at four entries, the scan still matches the reference,
-        and neither grows past its cap."""
+        """With the clause (b) memos, the learned patterns of each held key
+        and the relevance memo capped at four entries, the scan still matches
+        the reference, and none grows past its cap."""
         monkeypatch.setattr(cause_module, "_MEMO_CAP", 4)
         monkeypatch.setattr(cause_module, "_LEARNED_CAP", 4)
+        monkeypatch.setattr(cause_module, "_RELEVANCE_CAP", 4)
         compared = 0
         engines = [(label, engine) for seed in range(3)
                    for label, engine, _ in itertools.chain(
                        scan_engines(seed), hub_engines(seed))]
         for label, engine in engines:
+            engine._relevance.clear()  # shared: earlier engines may fill it
             for cause, per_set, x_override in search_cases(engine):
                 for variant in DefinitionVariant:
                     (new, new_stats), (ref, ref_stats) = run_both(
@@ -1443,6 +1485,7 @@ class TestRelevantScan:
                         label, str(cause), per_set, x_override, variant)
                     compared += 1
             assert all(len(memo) <= 4 for memo in engine._b_memo.values())
+            assert len(engine._relevance) <= 4
             assert all(sum(len(seen) for _, seen in groups.values()) <= 4
                        for groups in engine._learned.values())
         assert compared > 1000, compared

@@ -210,6 +210,10 @@ class TestOtherCommands:
                            "--exclude-self")
         assert code == 0
         assert "cause: ST=1" in out and "cause: SH=1" in out
+        code, out, _ = run(capsys, "causes", corpus_path("rock_refined"),
+                           "--context", "both", "--effect", "BS=1 | BS=0")
+        assert code == 1
+        assert "no causes found" in out and "verdict: false" in out
         code, _, err = run(capsys, "causes", corpus_path("doctor"),
                            "--context", "monday", "--effect", "BMC=3")
         assert code == 3
@@ -260,6 +264,11 @@ class TestOtherCommands:
                            "--effect", "TD=1")
         assert code == 0
         assert "HPT=0" in out and "SPS=1" in out
+        code, out, _ = run(capsys, "witnesses", corpus_path("rock_refined"),
+                           "--context", "both", "--cause", "BT=1",
+                           "--effect", "BS=1")
+        assert code == 1
+        assert "no witnesses" in out and "verdict: false" in out
         code, out, _ = run(capsys, "process", corpus_path("rock_refined"),
                            "--context", "both", "--cause", "ST=1",
                            "--effect", "BS=1")
@@ -476,6 +485,11 @@ class TestOptionsByKind:
                                "--json")
             assert code == (0 if expected else 1), words
             assert json.loads(out)["verdict"] is expected, words
+        code, out, _ = run(capsys, "check", corpus_path("rock_refined"),
+                           "--context", "both", "--cause", "BS=1",
+                           "--effect", "BS=1", "--exclude-self")
+        assert code == 1
+        assert "rejected: the cause logically entails the effect" in out
 
     def test_weak_needs_rather(self, capsys):
         code, out, _ = run(capsys, *self.argv("contrast"), "--weak")
