@@ -63,7 +63,8 @@ from .formula import (
     satisfiable_together,
     validate_event_formula,
 )
-from .model import CausalModel, ExtendedCausalModel, Value, solve
+from .model import (CausalModel, ExtendedCausalModel, Value, descendants,
+                    solve)
 
 DEFAULT_MAX_VARS = 16
 
@@ -368,13 +369,9 @@ class _Plan:
                   + "\n ".join(lines))
 
         def compiled():  # with an empty memo and each slot's reach
-            masks = dict.fromkeys(endo, 0)  # strict descendants in the cone
-            for v in reversed(model.order):  # children first
-                for d in model.parents[v] if v in cone else ():
-                    if d in masks:
-                        masks[d] |= masks[v] | 1 << index[v]
             return (compile(source, "<probe>", "exec").co_consts[0], {},
-                    list(masks.values()))
+                    [sum(1 << index[v] for v in descendants(model, d, False)
+                         if v in cone) for d in endo])
         self.code, self.relevance, self.reach = _kept(_CODE, source, compiled,
                                                       _CODE_CAP)
 
@@ -408,7 +405,8 @@ class _Engine:
     the survivor tables are what keep the subset quantifier in AC2(b)
     affordable, so a probe is not memoised: it always runs the kernel.
     ``defeat`` replaces the effect's negation as the goal of clause (a)
-    (used for contrastive queries)."""
+    (used for contrastive queries).  Refusals come in this order: bound,
+    recursion, size, cause, plan (formulas), world (context, allow rule)."""
 
     def __init__(self, model: CausalModel | ExtendedCausalModel,
                  context: Mapping[str, Value], effect: Formula,
@@ -427,17 +425,13 @@ class _Engine:
             raise SearchSpaceTooLarge(
                 f"{len(model.endogenous)} endogenous variables exceed the "
                 f"cap of {max_vars}; raise max_vars to search anyway")
+        if cause is not None:
+            validate_event_formula(model, cause.as_formula())
         plan = _kept(model.plans, (allowable, effect, defeat),
                      lambda: _Plan(model, allowable, effect, defeat), _PLANS_CAP)
         self.plan, self.context, self.effect = plan, dict(context), effect
         self.endo, self.index, self.domains, self._values, self._relevance = (
             plan.endo, plan.index, plan.domains, plan.values, plan.relevance)
-        for e in cause.events if cause is not None else ():
-            if e.var not in self.index:
-                raise UnknownVariable(f"{e.var!r} is not an endogenous variable")
-            if e.value not in model.domain_of(e.var):
-                raise OutOfRangeValue(
-                    f"cause value {e.value!r} outside domain of {e.var}")
         (self.actual, self.actual_pairs, self._actual_slots, self.probe,
          self.holds) = _kept(plan.worlds, tuple(context.items()),
                              lambda: plan.world(model, context), _WORLDS_CAP)
@@ -635,20 +629,19 @@ class _Engine:
         sizes = [len(column) for column in values]
         held_cols, spans = [(h,) for h in held], [range(n) for n in sizes]
         x_mask = sum(bits[self.index[x]] for x in xvars)
-        x_parts: dict[tuple, tuple] = {}
 
-        # (deviations, base columns) per block; see _FACTS.
+        # (deviations as shared parts, base columns) per block; see _FACTS.
         if every_x:
-            deviations = list(itertools.product(
+            deviations = list(map(_part, itertools.product(
                 *(tuple(v for v in self.domains[x] if v != val)
-                  for x, val in zip(xvars, cause.values))))
+                  for x, val in zip(xvars, cause.values)))))
             if not deviations:
                 return  # a single-valued cause variable admits no deviation
             blocks = [(deviations, [(_FREE,)] * len(endo))]
         else:
             # Clamping X at its actual value can never satisfy both (a) and
             # (b); skipping it is verdict-preserving.
-            blocks = [((x,), [(b,) for b in self.key(zip(xvars, x))])
+            blocks = [((_part(x),), [(b,) for b in self.key(zip(xvars, x))])
                       for x in itertools.product(
                           *(self.domains[x] for x in xvars))
                       if x != cause.values]
@@ -777,15 +770,12 @@ class _Engine:
                                            [free.index(i) for i in w])
                     stats.partitions_examined += sets - told_sets
                     told_sets, before = sets, before - short
-                x_part = x_parts.get(x_used)
-                if x_part is None:
-                    x_part = x_parts[x_used] = _part(x_used)
                 w_prime = tuple([actual[i] if pinned[i] is _FREE
                                  else pinned[i] for i in w])
                 seen = before + at + 1
                 stats.settings_examined += seen - told
                 told = seen
-                yield Witness(parts[0], x_part, _part(w_prime), parts[1])
+                yield Witness(parts[0], x_used, _part(w_prime), parts[1])
                 if first_per_set:  # the rest of this set goes uncounted
                     short += len(blocks) * size - at - 1
                     break
@@ -952,7 +942,7 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
                            fails only by not being actual: the no-side-effect
                            clause (b) accepts x' in place of x.
 
-    A fault that needs no model to show is refused before the model is read.
+    A fault that needs no model comes first, then a bad alternative value.
     """
     cause, variant = query.cause, query.variant
     if mode == "consequent":
@@ -977,11 +967,13 @@ def contrastive_cause(query: CauseQuery, mode: str, *,
     xvar, xval = cause.events[0].var, cause.events[0].value
     if value_alternative == xval:
         raise NotContrastive("the alternative value must differ from the actual one")
-    engine = _Engine(query.model, query.context, query.effect, cause,
-                     max_vars=query.max_vars)
-    if value_alternative not in engine.model.domain_of(xvar):
+    model = query.model
+    model = model.base if isinstance(model, ExtendedCausalModel) else model
+    if value_alternative not in model.domain_of(xvar):
         raise OutOfRangeValue(
             f"alternative value {value_alternative!r} outside domain of {xvar}")
+    engine = _Engine(query.model, query.context, query.effect, cause,
+                     max_vars=query.max_vars)
 
     base = _verdict(engine, cause, variant, query.exclude_self)
     if not base.overall:

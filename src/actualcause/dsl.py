@@ -260,11 +260,6 @@ class _Parser:
     def at_keyword(self, *words: str) -> bool:
         return self.here.kind == "ident" and self.here.text in words
 
-    def ident(self, what: str = "identifier") -> Token:
-        if self.here.kind != "ident":
-            self.fail(what)
-        return self.advance()
-
     # -- values --------------------------------------------------------
 
     def value(self) -> Value:
@@ -404,7 +399,7 @@ class _Parser:
         return self.f_prim()
 
     def f_prim(self) -> fm.Formula:
-        tok = self.ident("a variable name")
+        tok = self.expect("ident", "a variable name")
         if self.here.kind == "=":
             self.advance()
             return fm.Prim(tok.text, self.value())
@@ -444,7 +439,7 @@ class _Parser:
         """``X = v``, or ``X <- v`` in an intervention, in a list that has
         assigned ``seen`` so far; a variable assigned twice is an error at
         its second assignment."""
-        var = self.ident("a variable name")
+        var = self.expect("ident", "a variable name")
         self.expect(arrow, expected or repr(arrow))
         value = self.value()
         if var.text in seen:
@@ -479,7 +474,7 @@ def parse_model(text: str) -> ModelDocument:
     """Parse a model document; diagnostics carry line and column."""
     parser = _Parser(tokenize(text))
     parser.keyword("model")
-    name = parser.ident("a model name").text
+    name = parser.expect("ident", "a model name").text
     parser.expect("{", "'{'")
     decls: list[VarDecl] = []
     equations: list[EqStmt] = []
@@ -489,7 +484,7 @@ def parse_model(text: str) -> ModelDocument:
         tok = parser.here
         if parser.at_keyword("exo", "var"):
             parser.advance()
-            var = parser.ident("a variable name")
+            var = parser.expect("ident", "a variable name")
             if var.text in RESERVED:
                 raise DslSyntaxError(f"{var.text!r} is a reserved word",
                                      var.line, var.column)
@@ -504,7 +499,7 @@ def parse_model(text: str) -> ModelDocument:
                                  tok.line, tok.column))
         elif parser.at_keyword("eq"):
             parser.advance()
-            target = parser.ident("a variable name")
+            target = parser.expect("ident", "a variable name")
             parser.expect("=", "'='")
             equations.append(EqStmt(target.text, parser.expr(),
                                     target.line, target.column))
@@ -514,7 +509,7 @@ def parse_model(text: str) -> ModelDocument:
                                     tok.line, tok.column))
         elif parser.at_keyword("context"):
             parser.advance()
-            ctx_name = parser.ident("a context name").text
+            ctx_name = parser.expect("ident", "a context name").text
             contexts.append(ContextDecl(ctx_name, parser.assignments(),
                                         tok.line, tok.column))
         else:
@@ -801,7 +796,7 @@ def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
     """Parse one query and type-check it against a loaded model with
     build_query, which reports model faults at the query keyword."""
     parser = _Parser(tokenize(text))
-    kind_tok = parser.ident("a query keyword")
+    kind_tok = parser.expect("ident", "a query keyword")
     kind = kind_tok.text
     pieces: dict = {}
 
@@ -848,9 +843,10 @@ def parse_query(text: str, loaded: LoadedModel) -> QueryDocument:
             if parser.here.kind == "{":
                 pieces["context_values"] = parser.assignments()
             else:
-                pieces["context_name"] = parser.ident("a context name").text
+                pieces["context_name"] = parser.expect(
+                    "ident", "a context name").text
         elif tok.text == "variant":
-            word = parser.ident("updated, legacy, or strong")
+            word = parser.expect("ident", "updated, legacy, or strong")
             try:
                 pieces["variant"] = DefinitionVariant(word.text)
             except ValueError:

@@ -54,7 +54,7 @@ from actualcause.errors import (
     UnknownVariable,
     UnknownVariant,
 )
-from actualcause.formula import And, Prim
+from actualcause.formula import And, Basic, Prim
 from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
 from actualcause.queries import run_query
 from conftest import mixed_domain_model, random_recursive_model
@@ -578,12 +578,17 @@ class TestValidationBoundary:
         (p("Nope", 1), UnknownVariable),
         (p("ST", 7), OutOfRangeValue),
     ], ids=["exogenous", "undeclared", "out_of_range"])
-    def test_cause_outside_the_model_is_a_typed_error(self, corpus, entry,
-                                                       event, error):
-        model, u = ctx(corpus, "rock_refined", "both")
-        query = CauseQuery(model, u, cause_of(event), p("BS", 1))
-        with pytest.raises(error):
-            self.ENTRY_POINTS[entry](query)
+    def test_cause_outside_the_model_is_a_typed_error(self, entry, event,
+                                                       error):
+        """The cause is checked before any plan is built or world solved,
+        so its error comes first even in a context that the model rejects,
+        and a refused query leaves no plan."""
+        loaded = load_example("rock_refined").loaded
+        for u in ({"UST": 9, "UBT": 1}, loaded.context("both")):
+            query = CauseQuery(loaded.model, u, cause_of(event), p("BS", 1))
+            with pytest.raises(error):
+                self.ENTRY_POINTS[entry](query)
+        assert len(loaded.model.plans) == 0
 
     @pytest.mark.parametrize("events, message", [
         ((), "a candidate cause needs at least one conjunct"),
@@ -596,12 +601,24 @@ class TestValidationBoundary:
 
     @pytest.mark.parametrize("mode", ["antecedent_strong", "antecedent_weak"])
     def test_alternative_value_outside_the_domain_is_a_typed_error(
-            self, corpus, mode):
+            self, mode):
+        loaded = load_example("rock_refined").loaded
+        for u in ({"UST": 9, "UBT": 1}, loaded.context("both")):
+            query = CauseQuery(loaded.model, u, cause_of(p("ST", 1)),
+                               p("BS", 1))
+            with pytest.raises(OutOfRangeValue,
+                               match="alternative value 7 outside domain of "
+                                     "ST"):
+                contrastive_cause(query, mode, value_alternative=7)
+        assert len(loaded.model.plans) == 0
+
+    def test_counterfactual_effect_is_a_typed_error(self, corpus):
         model, u = ctx(corpus, "rock_refined", "both")
-        query = CauseQuery(model, u, cause_of(p("ST", 1)), p("BS", 1))
-        with pytest.raises(OutOfRangeValue,
-                           match="alternative value 7 outside domain of ST"):
-            contrastive_cause(query, mode, value_alternative=7)
+        query = CauseQuery(model, u, cause_of(p("ST", 1)),
+                           Basic((("ST", 0),), p("BS", 1)))
+        with pytest.raises(UnknownVariable) as err:
+            is_actual_cause(query)
+        assert str(err.value) == "intervention operators are not allowed here"
 
     def test_cyclic_model_is_refused(self):
         sig = Signature(("U",), ("X", "Y"),
@@ -1465,12 +1482,13 @@ class TestRelevantScan:
 
     def test_full_caches_are_emptied_without_changing_a_result(
             self, monkeypatch):
-        """With the clause (b) memos, the learned patterns of each held key
-        and the relevance memo capped at four entries, the scan still matches
-        the reference, and none grows past its cap."""
+        """With the clause (b) memos, the learned patterns of each held key,
+        the relevance memo and the witness-part table capped at four entries,
+        the scan still matches the reference, and none grows past its cap."""
         monkeypatch.setattr(cause_module, "_MEMO_CAP", 4)
         monkeypatch.setattr(cause_module, "_LEARNED_CAP", 4)
         monkeypatch.setattr(cause_module, "_RELEVANCE_CAP", 4)
+        monkeypatch.setattr(cause_module, "_PARTS_CAP", 4)
         compared = 0
         engines = [(label, engine) for seed in range(3)
                    for label, engine, _ in itertools.chain(
@@ -1486,6 +1504,7 @@ class TestRelevantScan:
                     compared += 1
             assert all(len(memo) <= 4 for memo in engine._b_memo.values())
             assert len(engine._relevance) <= 4
+            assert len(cause_module._PARTS) <= 4
             assert all(sum(len(seen) for _, seen in groups.values()) <= 4
                        for groups in engine._learned.values())
         assert compared > 1000, compared

@@ -258,6 +258,16 @@ SMALL = """model m {
      "1:23: expected a 'context' clause, found 'end of input'"),
     ("contrast cause X=1 of Y=1 context c", DslSyntaxError,
      "1:27: expected 'vs' or 'rather', found 'context'"),
+    ("check X=1 of Y=1 context c", DslSyntaxError,
+     "1:7: expected 'cause', found 'X'"),
+    (SMALL.replace("model m", "model"), DslSyntaxError,
+     "1:7: expected a model name, found '{'"),
+    (SMALL.replace("X : {0, 1}", "X : {}"), DslSyntaxError,
+     "3:11: expected a value (integer or symbol), found '}'"),
+    (SMALL.replace("eq X = U", "eq X = then"), DslSyntaxError,
+     "5:9: expected a value or variable, found 'then'"),
+    ("check cause X=1 of Y context c", DslSyntaxError,
+     "1:22: expected '=' or '!=' after variable, found 'context'"),
 ])
 def test_document_and_query_diagnostics(text, error, message):
     """Each check of a model document (``model ...``) or of a query on
@@ -333,6 +343,10 @@ class TestRoundTrip:
         assert serialize_model(doc) == text
         f = parse_causal_formula("!([A<-1](B=0 | A=1) & <>(B!=1))")
         assert formula_text(f) == "!([A <- 1](B = 0 | A = 1) & <>(B != 1))"
+
+    def test_a_foreign_node_is_not_printed(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            formula_text(object())
 
     @pytest.mark.parametrize("equation, expr", [
         ("!X", Not(Name("X"))),
@@ -492,6 +506,13 @@ class TestParseQuery:
         loaded = corpus["prisoner"].loaded
         with pytest.raises(UnknownIdentifier):
             parse_query("check cause A=1 of D=1 context nachos", loaded)
+
+    def test_undeclared_context_is_refused_by_the_model(self, corpus):
+        loaded = corpus["rock_refined"].loaded
+        with pytest.raises(UnknownIdentifier) as err:
+            loaded.context("nope")
+        assert str(err.value) == (
+            "model 'rock_refined' declares no context 'nope'")
 
     def test_unknown_variable_rejected(self, corpus):
         loaded = corpus["prisoner"].loaded

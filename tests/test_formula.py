@@ -50,6 +50,12 @@ class TestEventEvaluation:
         with pytest.raises(UnknownVariable):
             eval_event({"X": 1}, p("Y", 1))
 
+    def test_intervention_is_no_event(self):
+        with pytest.raises(UnknownVariable) as err:
+            eval_event({"X": 1}, Basic((("X", 0),), p("X", 0)))
+        assert str(err.value) == (
+            "intervention operators are not event formulas")
+
 
 class TestCausalFormulaValidation:
     def test_a_clamp_is_checked_as_any_intervention(self, corpus):

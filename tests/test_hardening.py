@@ -31,8 +31,9 @@ from actualcause import (
     solve,
     submodel,
 )
-from actualcause.dsl import parse_query
-from actualcause.errors import DisallowedActualWorld, InvalidBound
+from actualcause.dsl import build_query, parse_query
+from actualcause.errors import (DisallowedActualWorld, InvalidBound,
+                                UnknownIdentifier)
 from actualcause.oracle import actual_cause_bruteforce, weak_cause_bruteforce
 from actualcause.queries import run_query
 from conftest import mixed_domain_model, random_recursive_model
@@ -275,6 +276,21 @@ class TestQueryRunnerKinds:
                            cause_of(p("BS", 1)), p("BS", 1), exclude_self=True)
         assert not contrastive_cause(query, "consequent",
                                      effect_alternative=p("BS", 0)).overall
+
+    @pytest.mark.parametrize("kind, pieces, message", [
+        ("check", {}, "query has no context clause"),
+        ("bogus", {"context_name": "both"}, "unknown query kind 'bogus'"),
+    ], ids=["no_context", "unknown_kind"])
+    def test_built_document_faults_are_refused(self, corpus, kind, pieces,
+                                               message):
+        """A document made by build_query rather than parsed can lack a
+        context or name no kind; run_query refuses it."""
+        loaded = corpus["rock_refined"].loaded
+        doc = build_query(loaded, kind, cause=cause_of(p("ST", 1)),
+                          effect=p("BS", 1), **pieces)
+        with pytest.raises(UnknownIdentifier) as err:
+            run_query(loaded, doc)
+        assert str(err.value) == message
 
     def test_witness_records_the_process_side_actuals(self, corpus):
         loaded = corpus["arson_disjunctive"].loaded

@@ -160,9 +160,14 @@ class TestBuildModel:
         (lambda: check_fixed_point(forest_fire(), {"U": 0},
                                    {"L": 0, "ML": 0, "F": 2}),
          OutOfRangeValue, "assignment value 2 outside domain of F"),
+        (lambda: forest_fire().domain_of("Nope"), UnknownVariable,
+         "unknown variable 'Nope'"),
+        (lambda: descendants(forest_fire(), "U"), UnknownVariable,
+         "'U' is not an endogenous variable"),
     ], ids=["empty_domain", "duplicate_value", "overlap", "repeated",
             "no_domain", "table_and_fn", "exogenous_target", "self_loop",
-            "fixed_point_gap", "fixed_point_range"])
+            "fixed_point_gap", "fixed_point_range", "unknown_variable",
+            "descendants_of_exogenous"])
     def test_malformed_input_is_a_typed_error(self, make, error, message):
         with pytest.raises(error) as err:
             make()
