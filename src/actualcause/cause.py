@@ -32,10 +32,11 @@ verdicts are deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import prod
+from math import comb, prod
 from operator import itemgetter, mul
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Iterator, Mapping
@@ -192,16 +193,19 @@ def _part(part: tuple) -> tuple:
 
 
 # Compiled probe kernels by source text, each beside its memo of relevant
-# clamps per clamp mask (see _Engine._relevant) and its reach masks per slot
-# (see _Engine._b_holds).  A source holds only slot numbers and generated
-# names, so plans of the same shape share one code object, one memo and one
-# reach list whatever their tables and values; emptied when full.  It serves
-# callers that rebuild models of one shape: bench/run.py re-runs each
-# workload's set-up between passes, so every pass queries fresh models of
-# the same shapes.  With each plan compiling its own kernel instead,
-# pass_s read 2.0-2.2x slower on onpath, 2.7-2.8x on offpath and 1.8-1.9x
-# on golden (two 8-s runs each, 2-core box, Python 3.11).
-_CODE: dict[str, tuple[CodeType, dict[int, int], list[int]]] = {}
+# clamps per clamp mask, the parent masks that fill it (see
+# _Engine._relevant) and its reach masks per slot (see _Engine._b_holds).
+# A source holds only slot numbers and generated names, and each cone
+# variable's row names its parents' slots, so plans of the same shape share
+# one code object, memo, parent list and reach list whatever their tables
+# and values; emptied when full.  It serves callers that rebuild models of
+# one shape: bench/run.py re-runs each workload's set-up between passes, so
+# every pass queries fresh models of the same shapes.  With each plan
+# compiling its own kernel instead, pass_s read 2.0-2.2x slower on onpath,
+# 2.7-2.8x on offpath and 1.8-1.9x on golden (two 8-s runs each, 2-core
+# box, Python 3.11).
+_CODE: dict[str, tuple[CodeType, dict[int, int], list[int],
+                       list[tuple[int, int]]]] = {}
 _CODE_CAP = 1 << 8
 _RELEVANCE_CAP = 1 << 12  # masks per kernel; a memo is emptied when full
 # Plans per model, worlds per plan, entries of each of an engine's clause (b)
@@ -250,28 +254,16 @@ def _nothing(_key: tuple) -> tuple:
     return ()
 
 
-# Prefix tables per tuple of free-slot domain sizes (see _counts); emptied
-# when full.
-_SHAPES: dict[tuple[int, ...], tuple] = {}
-_SHAPES_CAP = 1 << 8
-
-
-def _prefix(sizes: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
-    """(before, after) over free slots 0..n-1 with domain ``sizes``:
-    ``before[m]`` is the number of settings of all sets of fewer than m
-    slots (``before[n + 1]``: of every set), and ``after[t][c]`` that of the
-    sets that take one slot c' < c and t slots after c'."""
+@functools.lru_cache(maxsize=1 << 8)
+def _sums(sizes: tuple[int, ...]) -> list[list[int]]:
+    """``e[c][t]``, the settings of the t-slot sets among free slots c..n-1
+    with domain ``sizes``: the elementary symmetric sums of ``sizes[c:]``."""
     n = len(sizes)
-    # e[c][t]: settings of the t-slot sets among slots c.., the elementary
-    # symmetric sums of the suffix's sizes.
     e = [[1] + [0] * n for _ in range(n + 1)]
     for c in range(n - 1, -1, -1):
         for t in range(1, n - c + 1):
             e[c][t] = e[c + 1][t] + sizes[c] * e[c + 1][t - 1]
-    return (list(itertools.accumulate(e[0], initial=0)),
-            [list(itertools.accumulate(
-                (sizes[c] * e[c + 1][t] for c in range(n)), initial=0))
-             for t in range(n)])
+    return e
 
 
 def _counts(sizes: tuple[int, ...], blocks: int,
@@ -283,22 +275,22 @@ def _counts(sizes: tuple[int, ...], blocks: int,
     ``w`` is None.  Sets run in (size, lex) order, so the partitions are
     w's rank plus one, and the settings ``blocks`` times those of the sets
     before w: those of fewer slots, and for each j those that agree with w
-    before its j-th slot and take an earlier one there (a rank counts the
-    same way with every size 1).  Setting p of block k of ``w`` adds
-    k * size(w) + p + 1 settings."""
-    (before, after), (first, later) = _kept(
-        _SHAPES, sizes, lambda: (_prefix(sizes), _prefix((1,) * len(sizes))),
-        _SHAPES_CAP)
+    before its j-th slot c and take a slot in lo..c-1 there, lo being one
+    past w's previous slot.  With t the slots of w from the j-th on, those
+    have ``e[lo][t] - e[c][t]`` settings (see _sums), and with every size 1
+    this is ``comb(n - lo, t) - comb(n - c, t)`` sets.  Setting p of block
+    k of ``w`` adds k * size(w) + p + 1 settings."""
+    n = len(sizes)
     if w is None:
-        return first[-1], blocks * before[-1]
-    m = len(w)
-    sets, settings, weight, lo = first[m] + 1, before[m], 1, 0
-    for j, c in enumerate(w):
-        t = m - j - 1
-        sets += later[t][c] - later[t][lo]
-        settings += weight * (after[t][c] - after[t][lo])
+        return 1 << n, blocks * prod([s + 1 for s in sizes])
+    e, m = _sums(sizes), len(w)
+    sets, settings = sum([comb(n, k) for k in range(m)]) + 1, sum(e[0][:m])
+    weight, lo = 1, 0
+    for c in w:  # m: the slots of w from c on
+        sets += comb(n - lo, m) - comb(n - c, m)
+        settings += weight * (e[lo][m] - e[c][m])
         weight *= sizes[c]
-        lo = c + 1
+        lo, m = c + 1, m - 1
     return sets, blocks * settings
 
 
@@ -316,8 +308,8 @@ class _Plan:
     topological order (``value_at`` serves function rules and missing rows)
     and evaluates the formulas one connective per line.  Its source names
     only slots, arguments and bound globals, so plans of one shape share its
-    code, relevance memo and reach masks through ``_CODE``; each world binds
-    the code once to its context's values."""
+    code, relevance memo, parent masks and reach masks through ``_CODE``;
+    each world binds the code once to its context's values."""
 
     def __init__(self, model: CausalModel, allowable, effect: Formula,
                  defeat: Formula | None):
@@ -350,7 +342,8 @@ class _Plan:
         ref.update((u, f"c{j}") for j, u in enumerate(model.exogenous))
         slots = f"({''.join(ref[v] + ', ' for v in endo)})"
         lines = [f"{slots} = key"]
-        for v in (v for v in model.order if v in cone):
+        order = [v for v in model.order if v in cone]
+        for v in order:
             i, mech = index[v], model.mechanisms[v]
             row = f"({''.join(ref[d] + ', ' for d in mech.deps)})"
             ns[f"T{i}"], ns[f"M{i}"] = mech.table or {}, mech
@@ -368,12 +361,16 @@ class _Plan:
                   f"{''.join(', ' + ref[u] for u in model.exogenous)}):\n "
                   + "\n ".join(lines))
 
-        def compiled():  # with an empty memo and each slot's reach
+        def compiled():  # with an empty memo, each slot's reach and each
+            # cone variable's (bit, endogenous parent mask), children first
             return (compile(source, "<probe>", "exec").co_consts[0], {},
                     [sum(1 << index[v] for v in descendants(model, d, False)
-                         if v in cone) for d in endo])
-        self.code, self.relevance, self.reach = _kept(_CODE, source, compiled,
-                                                      _CODE_CAP)
+                         if v in cone) for d in endo],
+                    [(1 << index[v], sum({1 << index[d] for d in
+                                          model.parents[v] if d in index}))
+                     for v in reversed(order)])
+        self.code, self.relevance, self.reach, self.parents = _kept(
+            _CODE, source, compiled, _CODE_CAP)
 
     def world(self, model: CausalModel, context: Mapping[str, Value]) -> tuple:
         """(actual world, its (variable, value) witness parts, its values by
@@ -418,7 +415,6 @@ class _Engine:
         allowable = None
         if isinstance(model, ExtendedCausalModel):
             model, allowable = model.base, model.allowable
-        self.model = model
         if not model.recursive:
             raise NotRecursive("cause checking requires a recursive model")
         if len(model.endogenous) > max_vars:
@@ -459,19 +455,15 @@ class _Engine:
         through unclamped variables only.  Changing or freeing any other
         (screened) clamp leaves every variable the kernel reads as it was.
         The answer depends only on the kernel's source, so it is memoised per
-        mask beside the compiled code."""
+        mask beside the compiled code, and a miss walks the cone's parent
+        masks there, children first."""
         rel = self._relevance.get(mask)
         if rel is None:
-            index, parents = self.index, self.model.parents
             live, rel = self.plan.reads & ~mask, self.plan.reads & mask
-            for var in reversed(self.model.order):  # children first
-                if live >> index[var] & 1:
-                    for dep in parents[var]:
-                        if dep in index:
-                            if mask >> index[dep] & 1:
-                                rel |= 1 << index[dep]
-                            else:
-                                live |= 1 << index[dep]
+            for bit, parents in self.plan.parents:
+                if live & bit:
+                    rel |= parents & mask
+                    live |= parents & ~mask
             if len(self._relevance) >= _RELEVANCE_CAP:
                 self._relevance.clear()
             self._relevance[mask] = rel
@@ -494,8 +486,9 @@ class _Engine:
         ``held`` clamps what (b) restores: the cause, so subsets of Z are
         taken over Z minus X (pinning a cause variable again would only
         repeat a clamp), or under the legacy reading, which applies only the
-        full contingency set, ``pinned`` itself, which leaves no W pin
-        optional; else the W pins of ``pinned`` are the optional ones.
+        full contingency set, ``pinned`` itself.  The optional pins are the
+        free slots where ``pinned`` differs from ``held``: the W pins, or
+        none under the legacy reading.
 
         A clamp deviates when its value is not actual: a clamp of ``held`` or
         a W pin of the subset.  By induction over the model's order, a
@@ -515,8 +508,7 @@ class _Engine:
         if base is None:
             base = self._deviation(held)
         actual, reach, probe = self._actual_slots, self.plan.reach, self.probe
-        moved = [] if held is pinned else [(i, pinned[i]) for i in free
-                                           if pinned[i] is not _FREE]
+        moved = [(i, pinned[i]) for i in free if pinned[i] is not held[i]]
         still = [actual[i] for i in free if pinned[i] is _FREE]
         for k in range(len(moved) + 1):
             for moves in itertools.combinations(moved, k):

@@ -39,8 +39,9 @@ from actualcause import (
 )
 from actualcause import cause as cause_module
 from actualcause.cause import _FREE, SearchStats, Witness, _Engine, _verdict
-from actualcause.corpus import REGISTRY, all_golden_rows, load_example
-from actualcause.dsl import parse_query
+from actualcause.corpus import (REGISTRY, all_golden_rows, example_text,
+                                load_example)
+from actualcause.dsl import load_model, parse_query
 from actualcause.errors import (
     DisallowedActualWorld,
     EffectNotActual,
@@ -1606,6 +1607,75 @@ class TestRelevantScan:
                                     seed, clamps, changed)
                                 checked += 1
         assert checked > 5000
+
+    def test_relevant_matches_a_name_level_reference(self):
+        """_relevant(mask) is exactly reference_relevant's set for every
+        clamp mask: on models with variables outside the cone, 2-3-valued
+        domains, a defeat goal, an allow formula and a callable allow
+        rule."""
+        checked, outside = 0, 0
+        for seed in range(8):
+            model = (mixed_domain_model(seed) if seed % 2 == 0
+                     else window_model(seed, 7))
+            endo, context = model.endogenous, {"U": seed // 2 % 2}
+            actual = solve(model, context)
+            mid = endo[len(endo) // 2]
+            other = next(v for v in model.domain_of(mid).values
+                         if v != actual[mid])
+            allow = Or((p(endo[1], actual[endo[1]]), p(mid, other)))
+            cases = (
+                (p(mid, actual[mid]), None, None, [mid]),
+                (p(mid, actual[mid]), p(mid, other), None, [mid]),
+                (p(endo[1], actual[endo[1]]), None, allow,
+                 [endo[1], mid]),
+                (p(mid, actual[mid]), None, lambda a: True, list(endo)))
+            for effect, defeat, allowable, reads in cases:
+                target = (model if allowable is None
+                          else ExtendedCausalModel(model, allowable))
+                engine = _Engine(target, context, effect, defeat=defeat)
+                engine._relevance.clear()  # so that every mask is walked
+                for k in range(len(endo) + 1):
+                    for names in itertools.combinations(endo, k):
+                        mask = sum(1 << engine.index[v] for v in names)
+                        expected = reference_relevant(model, reads, names)
+                        assert engine._relevant(mask) == sum(
+                            1 << engine.index[v] for v in expected), (
+                            seed, effect, names)
+                        checked += 1
+                # A variable outside the cone is screened even alone.
+                outside += any(not reference_relevant(model, reads, (v,))
+                               for v in endo)
+        assert checked > 1000 and outside > 10
+
+    def test_two_loads_share_one_parent_mask_list(self):
+        """Plans of one shape share the parent masks through the kernel
+        table, as they share its relevance memo."""
+        text = example_text("noise_bottle")
+        first, second = (load_model(text) for _ in range(2))
+        engines = [_Engine(loaded.extended(), loaded.context("noisy"),
+                           p("BS3", 1)) for loaded in (first, second)]
+        assert first.model is not second.model
+        assert engines[0].plan is not engines[1].plan
+        assert engines[0].plan.parents is engines[1].plan.parents
+        assert engines[0]._relevance is engines[1]._relevance
+
+
+def reference_relevant(model, reads, clamped):
+    """The clamped variables that a change can reach ``reads`` from: a
+    search over model.parents from ``reads`` that passes through unclamped
+    endogenous variables and stops at clamped ones."""
+    clamped, endo = set(clamped), set(model.endogenous)
+    todo, seen, found = list(reads), set(), set()
+    while todo:
+        var = todo.pop()
+        if var in seen:
+            continue
+        seen.add(var)
+        if var in clamped:
+            found.add(var)
+        else:
+            todo.extend(d for d in model.parents[var] if d in endo)
+    return found
 
 
 def reference_b_holds(engine, pinned, held, free, legacy):

@@ -245,7 +245,7 @@ def recorded(family: str) -> tuple[dict[str, list[str]], int, list[str]]:
             count[0] += 1
             w_mask = sum(1 << engine.index[v] for v in witness.w_set)
             if not engine._relevant(x_mask | w_mask) & x_mask:
-                screened.append(f"{engine.model.name} {variant.value} "
+                screened.append(f"{engine.endo} {variant.value} "
                                 f"{cause} {kw}: {witness}")
             yield witness
 
